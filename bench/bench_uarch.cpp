@@ -39,24 +39,21 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun);
 
 /**
- * Head-to-head kernel comparison on the simulator's dominant pattern:
- * short-delta events (pipeline ticks, link hops) with an occasional
- * far-future one (DRAM refresh-scale timers). range(0) selects the
- * kernel so both rows appear in one report.
+ * The simulator's dominant pattern: short-delta events (pipeline
+ * ticks, link hops) with an occasional far-future one (DRAM
+ * refresh-scale timers).
  */
 void
-BM_EventQueueKernelMix(benchmark::State &state)
+BM_EventQueueNearFarMix(benchmark::State &state)
 {
-    auto kernel = state.range(0) == 0 ? EventQueue::Kernel::Wheel
-                                      : EventQueue::Kernel::Heap;
-    EventQueue eq(kernel);
+    EventQueue eq;
     std::uint64_t sink = 0;
     std::uint64_t n = 0;
     for (auto _ : state) {
         for (int i = 0; i < 63; ++i)
             eq.scheduleIn(static_cast<Tick>(250 + (n + i) % 2000),
                           [&sink] { ++sink; });
-        // One far event past the wheel horizon per batch.
+        // One far event per batch.
         eq.scheduleIn((Tick{1} << 20) + n % 4096, [&sink] { ++sink; });
         ++n;
         eq.run(eq.curTick() + 4000);
@@ -64,18 +61,14 @@ BM_EventQueueKernelMix(benchmark::State &state)
     eq.run();
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * 64);
-    state.SetLabel(kernel == EventQueue::Kernel::Wheel ? "wheel"
-                                                       : "heap");
 }
-BENCHMARK(BM_EventQueueKernelMix)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueNearFarMix);
 
 /** Same-tick fan-out: many events at one tick, mixed priorities. */
 void
 BM_EventQueueSameTickBurst(benchmark::State &state)
 {
-    auto kernel = state.range(0) == 0 ? EventQueue::Kernel::Wheel
-                                      : EventQueue::Kernel::Heap;
-    EventQueue eq(kernel);
+    EventQueue eq;
     std::uint64_t sink = 0;
     constexpr EventQueue::Priority prios[] = {
         EventQueue::prioEarly, EventQueue::prioDefault,
@@ -88,10 +81,8 @@ BM_EventQueueSameTickBurst(benchmark::State &state)
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * 64);
-    state.SetLabel(kernel == EventQueue::Kernel::Wheel ? "wheel"
-                                                       : "heap");
 }
-BENCHMARK(BM_EventQueueSameTickBurst)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueSameTickBurst);
 
 void
 BM_CacheArrayLookup(benchmark::State &state)

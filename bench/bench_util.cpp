@@ -1,8 +1,10 @@
 #include "bench_util.hpp"
 
+#include <cctype>
 #include <cstring>
 #include <filesystem>
 
+#include "common/bits.hpp"
 #include "serve/client.hpp"
 
 namespace smtp::bench
@@ -197,10 +199,29 @@ parseArgs(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto jobs_value = [](const char *v) {
+            unsigned n = 0;
+            std::string err;
+            if (!parseJobs(v, n, &err)) {
+                std::fprintf(stderr, "--jobs: %s\n", err.c_str());
+                std::exit(1);
+            }
+            return n;
+        };
         if (const char *v = value("--scale=")) {
             opt.scale = std::atof(v);
         } else if (const char *vd = value("--dcache-div=")) {
-            opt.dirCacheDivisor = static_cast<unsigned>(std::atoi(vd));
+            char *end = nullptr;
+            unsigned long d = std::strtoul(vd, &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(*vd)) ||
+                *end != '\0' || d > 65536 || !isPow2(d)) {
+                std::fprintf(stderr,
+                             "--dcache-div: '%s' is not a power of two "
+                             "in 1..65536\n",
+                             vd);
+                std::exit(1);
+            }
+            opt.dirCacheDivisor = static_cast<unsigned>(d);
         } else if (const char *v2 = value("--apps=")) {
             opt.apps.clear();
             std::string list = v2;
@@ -214,9 +235,9 @@ parseArgs(int argc, char **argv)
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else if (const char *vj = value("--jobs=")) {
-            opt.jobs = static_cast<unsigned>(std::atoi(vj));
+            opt.jobs = jobs_value(vj);
         } else if (const char *vj2 = next_value("--jobs")) {
-            opt.jobs = static_cast<unsigned>(std::atoi(vj2));
+            opt.jobs = jobs_value(vj2);
         } else if (const char *vp = value("--json=")) {
             opt.jsonPath = vp;
         } else if (const char *vp2 = next_value("--json")) {

@@ -1016,26 +1016,23 @@ SmtCpu::commitStage()
             head != nullptr && isMemOp(head->op.cls) && !head->completed;
         if (blocked)
             ++t.stats.memStallCycles;
-        if constexpr (trace::compiledIn) {
-            if (trace_ != nullptr) {
-                std::uint8_t cause =
-                    !blocked ? trace::stallNone
-                    : (head->op.cls == OpClass::Store ||
-                       head->op.cls == OpClass::PStore)
-                        ? trace::stallStore
-                        : trace::stallLoad;
-                if (cause != t.stallCause) {
-                    if (t.stallCause != trace::stallNone)
-                        trace_->record(eq_->curTick(),
-                                       trace::EventId::ThreadStallEnd,
-                                       trace::packStall(t.tid,
-                                                        t.stallCause));
-                    if (cause != trace::stallNone)
-                        trace_->record(eq_->curTick(),
-                                       trace::EventId::ThreadStallBegin,
-                                       trace::packStall(t.tid, cause));
-                    t.stallCause = cause;
-                }
+        if (trace_ != nullptr) {
+            std::uint8_t cause =
+                !blocked ? trace::stallNone
+                : (head->op.cls == OpClass::Store ||
+                   head->op.cls == OpClass::PStore)
+                    ? trace::stallStore
+                    : trace::stallLoad;
+            if (cause != t.stallCause) {
+                if (t.stallCause != trace::stallNone)
+                    trace_->record(eq_->curTick(),
+                                   trace::EventId::ThreadStallEnd,
+                                   trace::packStall(t.tid, t.stallCause));
+                if (cause != trace::stallNone)
+                    trace_->record(eq_->curTick(),
+                                   trace::EventId::ThreadStallBegin,
+                                   trace::packStall(t.tid, cause));
+                t.stallCause = cause;
             }
         }
     }

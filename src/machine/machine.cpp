@@ -71,7 +71,7 @@ modelFromName(std::string_view name, MachineModel &out)
 }
 
 Machine::Machine(const MachineParams &params)
-    : params_(params), shards_(params.eventKernel, params.nodes),
+    : params_(params), shards_(params.nodes),
       fmt_(proto::protocolDirFormat(params.protocol,
                                     params.nodes <= 16 ? 16 : 32)),
       image_(proto::buildProtocolImage(

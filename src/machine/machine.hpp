@@ -111,13 +111,6 @@ struct MachineParams
     std::size_t l2Bytes = 2 * 1024 * 1024;
 
     /**
-     * Event-kernel selection (timing wheel vs. reference binary heap).
-     * Results are bit-identical either way; the heap kernel exists for
-     * cross-kernel equivalence tests and triage.
-     */
-    EventQueue::Kernel eventKernel = EventQueue::Kernel::Wheel;
-
-    /**
      * Execution mode: the windowed shard engine on one host thread
      * (serial, the reference) or on a pool (parallel[:T]). Excluded
      * from configHash() — results are bit-identical across modes, so
@@ -328,10 +321,10 @@ class Machine
 
     /**
      * Fingerprint of every state-affecting parameter. Snapshots carry
-     * it and restore refuses on mismatch. Deliberately excluded:
-     * eventKernel and exec (kernels and host-thread counts are
-     * bit-identical — snapshots restore across them), the checker and
-     * trace configs (observation-only), and wedgeSnapshotPath.
+     * it and restore refuses on mismatch. Deliberately excluded: exec
+     * (host-thread counts are bit-identical — snapshots restore across
+     * them), the checker and trace configs (observation-only), and
+     * wedgeSnapshotPath.
      */
     std::uint64_t configHash() const;
 

@@ -4,9 +4,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "check/checker.hpp"
 #include "common/log.hpp"
 #include "protocol/directory.hpp"
@@ -21,14 +18,6 @@ using proto::SendTarget;
 
 namespace
 {
-
-/** SMTP_TRACE is read once; per-message getenv showed up in profiles. */
-bool
-traceEnabled()
-{
-    static const bool on = std::getenv("SMTP_TRACE") != nullptr;
-    return on;
-}
 
 /** Map a forwarded intervention to the cache probe it launches. */
 MsgType
@@ -298,16 +287,6 @@ MemController::dispatch(const Message &msg_in)
         return;
     }
 
-    if (traceEnabled()) {
-        std::fprintf(stderr,
-                     "[%llu] n%u dispatch %s addr=%llx src=%u req=%u "
-                     "mshr=%u ack=%u\n",
-                     static_cast<unsigned long long>(now), self_,
-                     std::string(msgTypeName(msg.type)).c_str(),
-                     static_cast<unsigned long long>(msg.addr), msg.src,
-                     msg.requester, msg.mshr, msg.ackCount);
-    }
-
     // Forced-NAK injection: the dispatch unit pretends the pending
     // table was busy and bounces the request without running a handler,
     // exercising the requester's retry/backoff path. Only the NAKable
@@ -427,13 +406,6 @@ MemController::releaseSend(TransactionCtx *ctx_raw, unsigned idx)
     auto ctx = it->second;
     SMTP_ASSERT(idx < ctx->trace.sends.size(), "send index out of range");
     const proto::SendRec &send = ctx->trace.sends[idx];
-    if (traceEnabled()) {
-        std::fprintf(stderr, "[%llu] n%u release %s addr=%llx\n",
-                     static_cast<unsigned long long>(eq_->curTick()), self_,
-                     std::string(msgTypeName(send.msg.type)).c_str(),
-                     static_cast<unsigned long long>(send.msg.addr));
-    }
-
     // Bookkeeping happens at release time even when the data payload is
     // still in flight (the continuation is parked in memWaiters).
     switch (send.target) {
@@ -673,12 +645,6 @@ MemController::drainNiOutNow()
 void
 MemController::handlerDone(TransactionCtx *ctx_raw)
 {
-    if (traceEnabled()) {
-        std::fprintf(stderr, "[%llu] n%u done %s addr=%llx\n",
-                     static_cast<unsigned long long>(eq_->curTick()), self_,
-                     std::string(msgTypeName(ctx_raw->msg.type)).c_str(),
-                     static_cast<unsigned long long>(ctx_raw->msg.addr));
-    }
     auto it = ctxs_.find(ctx_raw->id);
     SMTP_ASSERT(it != ctxs_.end(), "completion of a dead transaction");
     handlerLatency.sample(

@@ -163,17 +163,15 @@ Network::inject(const proto::Message &msg)
     ++sl.flightDelta;
 
     proto::Message m = msg;
-    if constexpr (trace::compiledIn) {
-        if (trace_[m.src] != nullptr) {
-            if (m.traceId == 0) {
-                // Shard-partitioned id space: unique machine-wide with
-                // no cross-shard coordination, stable across host
-                // thread counts.
-                m.traceId = ((sh + 1u) << 24) | ++sl.nextTraceId;
-            }
-            trace_[m.src]->record(now(), trace::EventId::NetInject,
-                                  trace::packNet(m));
+    if (trace_[m.src] != nullptr) {
+        if (m.traceId == 0) {
+            // Shard-partitioned id space: unique machine-wide with no
+            // cross-shard coordination, stable across host thread
+            // counts.
+            m.traceId = ((sh + 1u) << 24) | ++sl.nextTraceId;
         }
+        trace_[m.src]->record(now(), trace::EventId::NetInject,
+                              trace::packNet(m));
     }
 
     if (m.src == m.dest) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/bits.hpp"
+
 namespace smtp::serve
 {
 
@@ -230,7 +232,6 @@ cellToJson(const RunConfig &cfg)
     cell.set("pcache", JsonValue::makeBool(cfg.perfectProtocolCaches));
     cell.set("dir_cache_divisor",
              JsonValue::makeNumber(cfg.dirCacheDivisor));
-    cell.set("heap_kernel", JsonValue::makeBool(cfg.heapEventKernel));
     cell.set("exec", JsonValue::makeString(cfg.exec.toString()));
     cell.set("check",
              JsonValue::makeString(checkLevelName(cfg.checkLevel)));
@@ -259,9 +260,8 @@ cellFromJson(const JsonValue &cell, RunConfig &out, std::string *err)
         return failParse(err, "cell must be a JSON object");
     static const char *const kKnown[] = {
         "model", "protocol", "nodes", "ways", "app", "scale", "cpu_mhz",
-        "las", "bitops", "pcache", "dir_cache_divisor", "heap_kernel",
-        "exec", "check", "sample", "faults", "retry", "trace",
-        "trace_exec",
+        "las", "bitops", "pcache", "dir_cache_divisor", "exec", "check",
+        "sample", "faults", "retry", "trace", "trace_exec",
         "ckpt_dir", // Accepted and ignored: the daemon owns the farm.
     };
     for (const auto &[key, value] : cell.members()) {
@@ -319,14 +319,14 @@ cellFromJson(const JsonValue &cell, RunConfig &out, std::string *err)
     if (!getBoolStrict(cell, "las", out.lookAheadScheduling, err) ||
         !getBoolStrict(cell, "bitops", out.bitAssistOps, err) ||
         !getBoolStrict(cell, "pcache", out.perfectProtocolCaches, err) ||
-        !getBoolStrict(cell, "heap_kernel", out.heapEventKernel, err) ||
         !getBoolStrict(cell, "trace_exec", out.traceExec, err))
         return false;
     u = out.dirCacheDivisor;
     if (!getUint(cell, "dir_cache_divisor", u, err))
         return false;
-    if (u == 0 || u > 65536)
-        return failParse(err, "dir_cache_divisor out of range");
+    if (u == 0 || u > 65536 || !isPow2(u))
+        return failParse(err, "dir_cache_divisor must be a power of two "
+                              "in 1..65536");
     out.dirCacheDivisor = static_cast<unsigned>(u);
 
     std::string spec;

@@ -405,8 +405,6 @@ paramsFor(const RunConfig &cfg)
     mp.bitAssistOps = cfg.bitAssistOps;
     mp.perfectProtocolCaches = cfg.perfectProtocolCaches;
     mp.dirCacheDivisor = cfg.dirCacheDivisor;
-    mp.eventKernel = cfg.heapEventKernel ? EventQueue::Kernel::Heap
-                                         : EventQueue::Kernel::Wheel;
     mp.exec = cfg.exec;
     mp.checkLevel = cfg.checkLevel;
     mp.trace.enabled = !cfg.traceStem.empty();

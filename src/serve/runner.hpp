@@ -63,8 +63,6 @@ struct RunConfig
     bool bitAssistOps = true;
     bool perfectProtocolCaches = false;
     unsigned dirCacheDivisor = 16; ///< Scaled with the problem sizes.
-    /** Run on the reference heap kernel (determinism A/B tests). */
-    bool heapEventKernel = false;
     /**
      * Shard-engine execution mode (--exec=serial|parallel[:T]).
      * Simulated results are bit-identical across modes; parallel only

@@ -28,7 +28,7 @@ namespace smtp::serve
 {
 
 /** Protocol version carried in every reply. */
-constexpr unsigned kProtoVersion = 1;
+constexpr unsigned kProtoVersion = 2;
 
 /** Frame payload cap; a larger length prefix is a protocol error. */
 constexpr std::uint32_t kMaxFrame = 16u * 1024 * 1024;

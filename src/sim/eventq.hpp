@@ -3,27 +3,14 @@
  * Discrete-event simulation kernel.
  *
  * A single global EventQueue per simulated machine orders callbacks by
- * (tick, priority, insertion sequence). Insertion-order tie-breaking makes
- * whole-machine runs deterministic: two events at the same tick always run
- * in the order they were scheduled, independent of container internals.
- *
- * Two interchangeable kernels implement that contract:
- *
- *  - Kernel::Wheel (default): a calendar/timing wheel of 1024 slots of
- *    512 ticks each (~one 2 GHz cycle per slot, ~524 ns horizon) absorbs
- *    the short-delta events that dominate a run — link deliveries,
- *    pipeline stages, SDRAM callbacks — with O(1) insertion into a
- *    per-slot min-heap that is tiny in practice. Events beyond the
- *    horizon overflow into a binary heap and migrate into the wheel as
- *    the cursor advances.
- *  - Kernel::Heap: the single binary heap, kept as the reference
- *    implementation for cross-kernel equivalence tests.
- *
- * Both kernels pop the global minimum under the same strict total order,
- * so simulations are bit-identical across kernels; tests/test_sim.cpp
- * asserts this on randomized near/far/same-tick mixes. Entries carry an
- * InlineCallback, so scheduling a lambda with a small capture never
- * touches the heap once the slot/heap vectors are warm.
+ * (tick, priority, insertion sequence) in one binary min-heap.
+ * Insertion-order tie-breaking makes whole-machine runs deterministic:
+ * two events at the same tick always run in the order they were
+ * scheduled, independent of container internals; tests/test_sim.cpp
+ * checks the executed order against that key on randomized
+ * near/far/same-tick mixes. Entries carry an InlineCallback, so
+ * scheduling a lambda with a small capture never touches the allocator
+ * once the heap vector is warm.
  */
 
 #ifndef SMTP_SIM_EVENTQ_HPP
@@ -57,23 +44,10 @@ class EventQueue
         prioLate = 1,     ///< e.g. end-of-cycle bookkeeping
     };
 
-    /** Which pending-event container the queue runs on. */
-    enum class Kernel
-    {
-        Wheel, ///< Timing wheel + far-future overflow heap (fast path).
-        Heap,  ///< Single binary heap (reference implementation).
-    };
-
-    explicit EventQueue(Kernel kernel = Kernel::Wheel) : kernel_(kernel)
-    {
-        if (kernel_ == Kernel::Wheel)
-            slots_.resize(slotCount);
-    }
-
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    Kernel kernel() const { return kernel_; }
     Tick curTick() const { return curTick_; }
 
     /** Schedule @p cb to run at absolute tick @p when (>= curTick). */
@@ -84,13 +58,7 @@ class EventQueue
                     "scheduling event in the past (%llu < %llu)",
                     static_cast<unsigned long long>(when),
                     static_cast<unsigned long long>(curTick_));
-        Entry e{when, prio, seq_++, std::move(cb)};
-        if (kernel_ == Kernel::Wheel && when >= base_ &&
-            when - base_ < span) {
-            slotPush(std::move(e));
-        } else {
-            heapPush(far_, std::move(e));
-        }
+        heapPush(Entry{when, prio, seq_++, std::move(cb)});
     }
 
     /** Schedule @p cb @p delta ticks from now. */
@@ -100,25 +68,14 @@ class EventQueue
         schedule(curTick_ + delta, std::move(cb), prio);
     }
 
-    bool empty() const { return wheelCount_ == 0 && far_.empty(); }
-    std::size_t size() const { return wheelCount_ + far_.size(); }
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
 
     /** Tick of the next pending event; maxTick when empty. */
     Tick
     nextTick() const
     {
-        Tick best = far_.empty() ? maxTick : far_.front().when;
-        if (wheelCount_ > 0) {
-            // The first non-empty slot in cursor order holds the wheel
-            // minimum: slots partition [base_, base_ + span) in time
-            // order and every wheel entry lies in that window.
-            for (std::size_t i = 0; i < slotCount; ++i) {
-                const auto &s = slots_[(cursor_ + i) & slotMask];
-                if (!s.empty())
-                    return std::min(best, s.front().when);
-            }
-        }
-        return best;
+        return heap_.empty() ? maxTick : heap_.front().when;
     }
 
     /**
@@ -128,15 +85,9 @@ class EventQueue
     bool
     runOne()
     {
-        std::vector<Entry> *src = findMin();
-        if (src == nullptr)
+        if (heap_.empty())
             return false;
-        Entry e = heapPop(*src);
-        if (src != &far_)
-            --wheelCount_;
-        curTick_ = e.when;
-        ++executed_;
-        e.cb();
+        runMin();
         return true;
     }
 
@@ -144,17 +95,8 @@ class EventQueue
     void
     run(Tick limit = maxTick)
     {
-        while (true) {
-            std::vector<Entry> *src = findMin();
-            if (src == nullptr || src->front().when > limit)
-                break;
-            Entry e = heapPop(*src);
-            if (src != &far_)
-                --wheelCount_;
-            curTick_ = e.when;
-            ++executed_;
-            e.cb();
-        }
+        while (!heap_.empty() && heap_.front().when <= limit)
+            runMin();
         if (curTick_ < limit && limit != maxTick)
             curTick_ = limit;
     }
@@ -164,12 +106,11 @@ class EventQueue
 
     // ---- Snapshot support --------------------------------------------
     //
-    // Both kernels serialize to the same kernel-neutral form: entries
-    // sorted ascending under the (when, prio, seq) total order, with
-    // their *original* sequence numbers. Restoring preserves those
-    // seqs, so same-tick tie-breaking — and therefore the entire
-    // event schedule — is bit-identical to the uninterrupted run,
-    // regardless of which kernel saved and which restores.
+    // Entries serialize sorted ascending under the (when, prio, seq)
+    // total order, with their *original* sequence numbers, so the bytes
+    // do not depend on heap layout. Restoring preserves those seqs, so
+    // same-tick tie-breaking — and therefore the entire event schedule
+    // — is bit-identical to the uninterrupted run.
 
     void
     saveState(snap::Ser &out) const
@@ -179,18 +120,13 @@ class EventQueue
         out.u64(executed_);
         std::vector<const Entry *> all;
         all.reserve(size());
-        auto keep = [&](const Entry &e) {
+        for (const Entry &e : heap_) {
             // Watchdog self-events are re-armed by the restoring
             // machine (when checking is on there), not replayed: they
             // are pure observers and only exist in debug-checked runs.
             if (e.cb.snapId() != snap::evWatchdog)
                 all.push_back(&e);
-        };
-        for (const auto &slot : slots_)
-            for (const Entry &e : slot)
-                keep(e);
-        for (const Entry &e : far_)
-            keep(e);
+        }
         std::sort(all.begin(), all.end(),
                   [](const Entry *a, const Entry *b) {
                       return Later{}(*b, *a);
@@ -207,17 +143,10 @@ class EventQueue
     void
     restoreState(snap::Des &in, const snap::EventCodec &codec)
     {
-        for (auto &slot : slots_)
-            slot.clear();
-        far_.clear();
-        wheelCount_ = 0;
+        heap_.clear();
         curTick_ = in.u64();
         seq_ = in.u64();
         executed_ = in.u64();
-        // Re-center the wheel on the restored tick; entry placement
-        // below then mirrors schedule()'s slot/overflow decision.
-        base_ = (curTick_ >> slotShift) << slotShift;
-        cursor_ = slotOf(curTick_);
         std::uint64_t n = in.count(8 + 1 + 8 + 4);
         for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
             Entry e;
@@ -231,12 +160,7 @@ class EventQueue
                 in.fail("corrupt snapshot: event entry out of range");
                 break;
             }
-            if (kernel_ == Kernel::Wheel && e.when >= base_ &&
-                e.when - base_ < span) {
-                slotPush(std::move(e));
-            } else {
-                heapPush(far_, std::move(e));
-            }
+            heapPush(std::move(e));
         }
     }
 
@@ -263,95 +187,26 @@ class EventQueue
         }
     };
 
-    static constexpr unsigned slotShift = 9;          ///< 512 ticks/slot.
-    static constexpr std::size_t slotCount = 1024;
-    static constexpr std::size_t slotMask = slotCount - 1;
-    static constexpr Tick span = static_cast<Tick>(slotCount) << slotShift;
-
-    static std::size_t
-    slotOf(Tick when)
-    {
-        return (when >> slotShift) & slotMask;
-    }
-
-    static void
-    heapPush(std::vector<Entry> &heap, Entry e)
-    {
-        heap.push_back(std::move(e));
-        std::push_heap(heap.begin(), heap.end(), Later{});
-    }
-
-    /** Extract the heap minimum without casting away constness. */
-    static Entry
-    heapPop(std::vector<Entry> &heap)
-    {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        Entry e = std::move(heap.back());
-        heap.pop_back();
-        return e;
-    }
-
     void
-    slotPush(Entry e)
+    heapPush(Entry e)
     {
-        heapPush(slots_[slotOf(e.when)], std::move(e));
-        ++wheelCount_;
+        heap_.push_back(std::move(e));
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     }
 
-    /** Pull far-heap events that now fall inside the wheel window. */
+    /** Pop the minimum entry and run it; the heap must be non-empty. */
     void
-    migrate()
+    runMin()
     {
-        while (!far_.empty() && far_.front().when >= base_ &&
-               far_.front().when - base_ < span) {
-            Entry e = heapPop(far_);
-            heapPush(slots_[slotOf(e.when)], std::move(e));
-            ++wheelCount_;
-        }
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        Entry e = std::move(heap_.back());
+        heap_.pop_back();
+        curTick_ = e.when;
+        ++executed_;
+        e.cb();
     }
 
-    /**
-     * Locate the container holding the globally-earliest event,
-     * advancing the wheel cursor past empty slots (and migrating
-     * far-future events into the window) along the way. Returns nullptr
-     * when the queue is empty. The returned vector's front() is the
-     * minimum under the (when, prio, seq) order.
-     */
-    std::vector<Entry> *
-    findMin()
-    {
-        if (kernel_ == Kernel::Heap)
-            return far_.empty() ? nullptr : &far_;
-        if (wheelCount_ == 0) {
-            if (far_.empty())
-                return nullptr;
-            // Re-center the (empty) wheel on the next far event so its
-            // neighbourhood migrates back to the fast path.
-            base_ = (far_.front().when >> slotShift) << slotShift;
-            cursor_ = slotOf(far_.front().when);
-            migrate();
-        }
-        if (wheelCount_ == 0)
-            return &far_; // All remaining events precede the window.
-        while (slots_[cursor_].empty()) {
-            cursor_ = (cursor_ + 1) & slotMask;
-            base_ += Tick{1} << slotShift;
-            migrate();
-        }
-        // An out-of-window far event (scheduled behind a cursor that
-        // ran ahead under run(limit)) can still precede the wheel head.
-        std::vector<Entry> *slot = &slots_[cursor_];
-        if (!far_.empty() && Later{}(slot->front(), far_.front()))
-            return &far_;
-        return slot;
-    }
-
-    Kernel kernel_;
-    std::vector<std::vector<Entry>> slots_; ///< Per-slot min-heaps.
-    std::size_t wheelCount_ = 0;
-    std::size_t cursor_ = 0; ///< Slot index covering base_.
-    Tick base_ = 0;          ///< Start tick of the cursor slot.
-    std::vector<Entry> far_; ///< Overflow heap (whole queue in Heap mode).
+    std::vector<Entry> heap_; ///< Min-heap under Later.
     Tick curTick_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

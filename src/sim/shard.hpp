@@ -23,8 +23,7 @@
  *
  * The serial execution mode (--exec=serial) runs the *same* windowed
  * engine on one host thread — it is the reference implementation the
- * parallel mode must match bit-for-bit, exactly like the wheel/heap
- * pair in sim/eventq.hpp.
+ * parallel mode must match bit-for-bit.
  */
 
 #ifndef SMTP_SIM_SHARD_HPP
@@ -33,7 +32,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <string>
@@ -44,6 +42,7 @@
 #include "common/types.hpp"
 #include "sim/eventq.hpp"
 #include "sim/spsc.hpp"
+#include "sim/sweep.hpp"
 #include "snap/event_codec.hpp"
 
 namespace smtp
@@ -87,16 +86,8 @@ struct ExecParams
             out.threads = 0;
             if (spec.size() == 8)
                 return true;
-            if (spec[8] == ':') {
-                char *end = nullptr;
-                unsigned long t =
-                    std::strtoul(spec.c_str() + 9, &end, 10);
-                if (end != nullptr && *end == '\0' && t > 0 &&
-                    t <= 1024) {
-                    out.threads = static_cast<unsigned>(t);
-                    return true;
-                }
-            }
+            if (spec[8] == ':' && parseJobs(spec.substr(9), out.threads))
+                return true;
         }
         if (err != nullptr)
             *err = "bad exec mode '" + spec +
@@ -180,14 +171,14 @@ class ShardSet
   public:
     static constexpr unsigned noShard = ~0u;
 
-    /** @p n owned per-shard queues on the given kernel. */
-    ShardSet(EventQueue::Kernel kernel, unsigned n)
+    /** @p n owned per-shard queues. */
+    explicit ShardSet(unsigned n)
     {
         SMTP_ASSERT(n >= 1, "shard set needs at least one shard");
         owned_.reserve(n);
         queues_.reserve(n);
         for (unsigned s = 0; s < n; ++s) {
-            owned_.push_back(std::make_unique<EventQueue>(kernel));
+            owned_.push_back(std::make_unique<EventQueue>());
             queues_.push_back(owned_.back().get());
         }
         mail_.resize(static_cast<std::size_t>(n) * n);

@@ -1,17 +1,41 @@
 #include "sweep.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+
+#include "common/log.hpp"
 
 namespace smtp
 {
+
+bool
+parseJobs(const std::string &text, unsigned &out, std::string *err)
+{
+    // At most four digits, so stoul can neither throw nor overflow.
+    bool digits = !text.empty() && text.size() <= 4 &&
+                  std::all_of(text.begin(), text.end(), [](char c) {
+                      return c >= '0' && c <= '9';
+                  });
+    unsigned long v = digits ? std::stoul(text) : 0;
+    if (v < 1 || v > maxJobs) {
+        if (err != nullptr)
+            *err = "bad worker count '" + text + "' (want 1.." +
+                   std::to_string(maxJobs) + ")";
+        return false;
+    }
+    out = static_cast<unsigned>(v);
+    return true;
+}
 
 unsigned
 SweepPool::defaultJobs()
 {
     if (const char *env = std::getenv("SMTP_SWEEP_JOBS")) {
-        long v = std::atol(env);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
+        unsigned v = 0;
+        std::string err;
+        if (!parseJobs(env, v, &err))
+            SMTP_FATAL("SMTP_SWEEP_JOBS: %s", err.c_str());
+        return v;
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;
@@ -134,8 +158,14 @@ SweepPool::runTasks(unsigned self)
 {
     const std::function<void(std::size_t)> *body;
     {
+        // A worker that wakes after its batch finished sees no body and
+        // must not touch the deques: the next batch may already be
+        // filling them.
         std::lock_guard<std::mutex> lk(mtx_);
         body = body_;
+        if (body == nullptr)
+            return;
+        ++active_;
     }
     std::size_t done = 0;
     std::size_t task;
@@ -143,12 +173,11 @@ SweepPool::runTasks(unsigned self)
         (*body)(task);
         ++done;
     }
-    if (done > 0) {
-        std::lock_guard<std::mutex> lk(mtx_);
-        pending_ -= done;
-        if (pending_ == 0)
-            doneCv_.notify_all();
-    }
+    std::lock_guard<std::mutex> lk(mtx_);
+    pending_ -= done;
+    --active_;
+    if (pending_ == 0 && active_ == 0)
+        doneCv_.notify_all();
 }
 
 void
@@ -192,7 +221,9 @@ SweepPool::parallelFor(std::size_t n,
     workCv_.notify_all();
     runTasks(0); // The caller works too.
     std::unique_lock<std::mutex> lk(mtx_);
-    doneCv_.wait(lk, [&] { return pending_ == 0; });
+    // Wait for every worker to leave runTasks too: one still looping
+    // with this batch's body must not pick up the next batch's tasks.
+    doneCv_.wait(lk, [&] { return pending_ == 0 && active_ == 0; });
     body_ = nullptr;
 }
 

@@ -13,7 +13,10 @@
  * table — identical to a serial run.
  *
  * Worker count: explicit argument > SMTP_SWEEP_JOBS env var > hardware
- * concurrency. jobs == 1 degenerates to an inline serial loop (no
+ * concurrency. Every textual count (--jobs, SMTP_SWEEP_JOBS, smtpd
+ * --jobs, the T of parallel:T) goes through parseJobs(), so a typo or
+ * a negative number is a diagnostic, never a huge thread count.
+ * jobs == 1 degenerates to an inline serial loop (no
  * threads), which the determinism tests diff against parallel runs.
  *
  * Service mode (the smtpd daemon): enqueue() adds one prioritized task
@@ -36,11 +39,23 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace smtp
 {
+
+/** Largest worker or host-thread count any textual input may name. */
+constexpr unsigned maxJobs = 1024;
+
+/**
+ * Parse a worker count strictly: decimal digits only, value in
+ * 1..maxJobs. On failure returns false, leaves @p out untouched and,
+ * when @p err is non-null, stores a diagnostic naming @p text.
+ */
+bool parseJobs(const std::string &text, unsigned &out,
+               std::string *err = nullptr);
 
 class SweepPool
 {
@@ -54,7 +69,10 @@ class SweepPool
 
     unsigned jobs() const { return jobs_; }
 
-    /** SMTP_SWEEP_JOBS env override, else hardware concurrency. */
+    /**
+     * SMTP_SWEEP_JOBS env override, else hardware concurrency. A set
+     * but malformed SMTP_SWEEP_JOBS is fatal.
+     */
     static unsigned defaultJobs();
 
     /**
@@ -104,6 +122,7 @@ class SweepPool
     const std::function<void(std::size_t)> *body_ = nullptr;
     std::uint64_t epoch_ = 0;          ///< Batch generation counter.
     std::size_t pending_ = 0;          ///< Tasks not yet finished.
+    unsigned active_ = 0;              ///< Threads inside runTasks().
     bool stop_ = false;
 
     // Service mode: its own lock/cv/threads so persistent traffic and

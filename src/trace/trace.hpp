@@ -6,12 +6,8 @@
  *
  * Cost discipline (same contract as src/check's CheckLevel):
  *
- *  - compiled out: build with -DSMTP_TRACE=OFF (sets
- *    SMTP_TRACE_ENABLED=0) and every SMTP_TRACE_EVENT expands to
- *    nothing — zero code on the hot path. TraceBuffer itself stays
- *    available for direct callers (the checker's dispatch ring).
- *  - compiled in, disabled: components hold a null TraceBuffer
- *    pointer; each macro is one pointer test. No buffers, no memory.
+ *  - disabled: components hold a null TraceBuffer pointer; each macro
+ *    is one pointer test. No buffers, no memory.
  *  - enabled: recording is two stores into a preallocated ring. The
  *    simulation schedule is never touched — tracing on/off produces
  *    bit-identical timing.
@@ -30,28 +26,14 @@
 #include "trace/events.hpp"
 #include "trace/interval.hpp"
 
-/** Compile-time kill switch (CMake option SMTP_TRACE, default ON). */
-#ifndef SMTP_TRACE_ENABLED
-#define SMTP_TRACE_ENABLED 1
-#endif
-
-#if SMTP_TRACE_ENABLED
 #define SMTP_TRACE_EVENT(buf, tick, id, arg)                              \
     do {                                                                  \
         if ((buf) != nullptr)                                             \
             (buf)->record((tick), (id), (arg));                           \
     } while (0)
-#else
-#define SMTP_TRACE_EVENT(buf, tick, id, arg)                              \
-    do {                                                                  \
-    } while (0)
-#endif
 
 namespace smtp::trace
 {
-
-/** True when instrumentation macros are compiled in. */
-inline constexpr bool compiledIn = SMTP_TRACE_ENABLED != 0;
 
 /**
  * Fixed-capacity event ring. Overwrites oldest on overflow; recorded()

@@ -4,10 +4,9 @@
  *
  * Replaces the global operator new/delete with counting versions so a
  * test can assert that a warmed-up EventQueue schedules and runs events
- * with small captures without touching the heap at all. This is the
- * property that makes the wheel kernel fast: once the slot vectors have
- * grown to steady-state capacity, the simulator's inner loop performs
- * zero allocations per event.
+ * with small captures without touching the heap at all: once the heap
+ * vector has grown to steady-state capacity, the simulator's inner loop
+ * performs zero allocations per event.
  */
 
 #include <gtest/gtest.h>
@@ -108,16 +107,14 @@ churn(EventQueue &eq, int rounds)
 }
 
 /**
- * Warm @p eq until one full churn pass completes without a single
- * allocation (slot/heap vectors at steady-state capacity), then assert
- * the next pass is allocation-free too. The wheel's 1024 slot heaps
- * approach their high-water capacities over a few passes as the churn
- * pattern drifts across slot boundaries; the test fails only if the
- * kernel never stops allocating.
+ * Warm the queue until one full churn pass completes without a single
+ * allocation (heap vector at steady-state capacity), then assert the
+ * next pass is allocation-free too. The test fails only if the kernel
+ * never stops allocating.
  */
-void
-expectSteadyStateAllocFree(EventQueue &eq)
+TEST(EventQueueAlloc, HotPathIsAllocationFree)
 {
+    EventQueue eq;
     bool warm = false;
     for (int pass = 0; pass < 16 && !warm; ++pass) {
         std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
@@ -132,18 +129,6 @@ expectSteadyStateAllocFree(EventQueue &eq)
     EXPECT_EQ(ran, 2 * 4096u);
     EXPECT_EQ(after - before, 0u)
         << "scheduleIn/runOne allocated on the hot path";
-}
-
-TEST(EventQueueAlloc, HotPathIsAllocationFree)
-{
-    EventQueue eq;
-    expectSteadyStateAllocFree(eq);
-}
-
-TEST(EventQueueAlloc, HeapKernelHotPathIsAllocationFree)
-{
-    EventQueue eq(EventQueue::Kernel::Heap);
-    expectSteadyStateAllocFree(eq);
 }
 
 TEST(EventQueueAlloc, LargeCapturesDoAllocate)

@@ -4,8 +4,8 @@
  * --exec=parallel[:T] run the *same* windowed shard engine and must
  * produce bit-identical simulated results — execution time, committed
  * instructions, the full stats dump, and exported telemetry — for
- * every machine model, on either event kernel, under an active fault
- * plan, and across checkpoint save/restore. Host-thread count may only
+ * every machine model, under an active fault plan, and across
+ * checkpoint save/restore. Host-thread count may only
  * change wall-clock time, never simulated state.
  */
 
@@ -67,7 +67,6 @@ struct ExecSim
     std::unique_ptr<FuncMem> mem;
 
     ExecSim(MachineModel model, const ExecParams &exec,
-            bool heap_kernel = false,
             const fault::FaultPlan *faults = nullptr, bool traced = false,
             unsigned nodes = 4, double scale = 0.25,
             check::CheckLevel check = check::CheckLevel::Off)
@@ -77,8 +76,6 @@ struct ExecSim
         mp.nodes = nodes;
         mp.appThreadsPerNode = 1;
         mp.exec = exec;
-        mp.eventKernel = heap_kernel ? EventQueue::Kernel::Heap
-                                     : EventQueue::Kernel::Wheel;
         if (faults != nullptr)
             mp.faults = *faults;
         mp.trace.enabled = traced;
@@ -121,17 +118,17 @@ par(unsigned threads)
  * parallel:T for several T. Everything observable must match exactly.
  */
 void
-expectExecIdentical(MachineModel model, bool heap_kernel = false,
+expectExecIdentical(MachineModel model,
                     const fault::FaultPlan *faults = nullptr)
 {
-    ExecSim ref(model, ExecParams{}, heap_kernel, faults);
+    ExecSim ref(model, ExecParams{}, faults);
     Tick t_ref = ref.machine->run();
     ASSERT_GT(t_ref, 0u);
     EXPECT_EQ(ref.machine->hostThreads(), 1u);
     std::string golden = statsOf(*ref.machine);
 
     for (unsigned threads : {2u, 4u, 8u}) {
-        ExecSim sim(model, par(threads), heap_kernel, faults);
+        ExecSim sim(model, par(threads), faults);
         // Thread count clamps to the shard count (4 nodes here).
         EXPECT_EQ(sim.machine->hostThreads(), std::min(threads, 4u));
         EXPECT_EQ(sim.machine->run(), t_ref) << "threads=" << threads;
@@ -166,13 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelCase{MachineModel::SMTp, "SMTp"}),
     [](const auto &info) { return info.param.name; });
 
-TEST(Exec, HeapKernelMatchesToo)
-{
-    // The exec mode composes with the event-kernel A/B pair: the heap
-    // reference kernel must be host-thread invariant as well.
-    expectExecIdentical(MachineModel::SMTp, /*heap_kernel=*/true);
-}
-
 TEST(Exec, UnderActiveFaultPlan)
 {
     // Fault decisions draw from per-node RNG streams owned by the
@@ -183,7 +173,7 @@ TEST(Exec, UnderActiveFaultPlan)
     ASSERT_TRUE(fault::FaultPlan::parse(
         "seed=7,drop=0.005,dup=0.005,nak=0.01", plan, &err))
         << err;
-    expectExecIdentical(MachineModel::Base, false, &plan);
+    expectExecIdentical(MachineModel::Base, &plan);
 }
 
 std::string
@@ -201,14 +191,14 @@ TEST(Exec, TracedTelemetryIsHostThreadInvariant)
     // modes: simulated-event buffers are identical, and the host-time
     // Exec category is excluded from default exports precisely so this
     // comparison stays meaningful.
-    ExecSim ref(MachineModel::SMTp, ExecParams{}, false, nullptr,
+    ExecSim ref(MachineModel::SMTp, ExecParams{}, nullptr,
                 /*traced=*/true);
     Tick t_ref = ref.machine->run();
     std::string tdir = ::testing::TempDir();
     std::string err;
     ASSERT_TRUE(ref.machine->writeTraceFiles(tdir + "ser", &err)) << err;
 
-    ExecSim sim(MachineModel::SMTp, par(4), false, nullptr, true);
+    ExecSim sim(MachineModel::SMTp, par(4), nullptr, true);
     EXPECT_EQ(sim.machine->run(), t_ref);
     ASSERT_TRUE(sim.machine->writeTraceFiles(tdir + "par", &err)) << err;
 
@@ -258,7 +248,7 @@ TEST(ExecChecker, AssertsLevelRunsParallelBitIdentical)
     // serialized per hook, so --check=asserts --exec=parallel:4 must
     // actually run 4 host threads and still be bit-identical to the
     // serial-reference run of the same checked cell.
-    ExecSim ref(MachineModel::SMTp, ExecParams{}, false, nullptr, false,
+    ExecSim ref(MachineModel::SMTp, ExecParams{}, nullptr, false,
                 4, 0.25, check::CheckLevel::Asserts);
     Tick t_ref = ref.machine->run();
     ASSERT_GT(t_ref, 0u);
@@ -268,7 +258,7 @@ TEST(ExecChecker, AssertsLevelRunsParallelBitIdentical)
     EXPECT_EQ(ref.machine->checker()->violationCount(), 0u);
     std::string golden = statsOf(*ref.machine);
 
-    ExecSim sim(MachineModel::SMTp, par(4), false, nullptr, false, 4,
+    ExecSim sim(MachineModel::SMTp, par(4), nullptr, false, 4,
                 0.25, check::CheckLevel::Asserts);
     EXPECT_EQ(sim.machine->hostThreads(), 4u);
     EXPECT_FALSE(sim.machine->execSerializedByChecker());
@@ -288,7 +278,7 @@ TEST(ExecChecker, AssertsParallelMatchesUncheckedResults)
     Tick t_ref = plain.machine->run();
     std::string golden = statsOf(*plain.machine);
 
-    ExecSim checked(MachineModel::Base, par(4), false, nullptr, false, 4,
+    ExecSim checked(MachineModel::Base, par(4), nullptr, false, 4,
                     0.25, check::CheckLevel::Asserts);
     EXPECT_EQ(checked.machine->run(), t_ref);
     EXPECT_EQ(statsOf(*checked.machine), golden);
@@ -299,12 +289,12 @@ TEST(ExecChecker, FullMirrorFallbackIsLoudNotSilent)
     // FullMirror still needs a globally serialized schedule; the
     // fallback must be visible in-band via execSerializedByChecker(),
     // not a silent host_threads change.
-    ExecSim sim(MachineModel::Base, par(4), false, nullptr, false, 4,
+    ExecSim sim(MachineModel::Base, par(4), nullptr, false, 4,
                 0.25, check::CheckLevel::FullMirror);
     EXPECT_EQ(sim.machine->hostThreads(), 1u);
     EXPECT_TRUE(sim.machine->execSerializedByChecker());
 
-    ExecSim ser(MachineModel::Base, ExecParams{}, false, nullptr, false,
+    ExecSim ser(MachineModel::Base, ExecParams{}, nullptr, false,
                 4, 0.25, check::CheckLevel::FullMirror);
     EXPECT_EQ(ser.machine->hostThreads(), 1u);
     EXPECT_FALSE(ser.machine->execSerializedByChecker());

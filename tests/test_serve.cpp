@@ -334,6 +334,9 @@ TEST(ServeProto, MalformedCellValuesAreRejected)
     reject("check", JsonValue::makeString("paranoid"));
     reject("sample", JsonValue::makeString("1:2"));
     reject("las", JsonValue::makeNumber(1));
+    // Machine asserts a power-of-two divisor; the wire must stop it.
+    reject("dir_cache_divisor", JsonValue::makeNumber(3));
+    reject("dir_cache_divisor", JsonValue::makeNumber(0));
 }
 
 TEST(ServeProto, ResultRoundTrip)
@@ -578,6 +581,36 @@ TEST(ServeDaemon, UnknownJobFieldsAreRejected)
     EXPECT_NE(reply.getString("message").find("warpdrive"),
               std::string::npos);
     ::close(fd);
+}
+
+TEST(ServeDaemon, RetiredKernelFieldGetsErrorFrames)
+{
+    DaemonFixture d("retired");
+    auto expect_error = [&](const char *frame, const char *needle) {
+        int fd = connectSocket(d.sock);
+        ASSERT_GE(fd, 0);
+        ASSERT_TRUE(writeFrame(fd, frame));
+        std::string payload, err;
+        ASSERT_EQ(readFrame(fd, payload, &err), 1) << err;
+        JsonValue reply;
+        ASSERT_TRUE(JsonValue::parse(payload, reply));
+        EXPECT_EQ(reply.getString("type"), "error");
+        EXPECT_NE(reply.getString("message").find(needle),
+                  std::string::npos)
+            << reply.getString("message");
+        ::close(fd);
+    };
+    // A version-1 client still sends the event-kernel switch.
+    expect_error(R"({"op":"submit","proto":1,)"
+                 R"("cells":[{"app":"fft","heap_kernel":false}]})",
+                 "protocol version");
+    // The field alone is unknown under the current version too.
+    expect_error(R"({"op":"submit","proto":2,)"
+                 R"("cells":[{"app":"fft","heap_kernel":true}]})",
+                 "heap_kernel");
+    Client c;
+    ASSERT_TRUE(c.connect(d.sock));
+    EXPECT_TRUE(c.ping()) << c.error();
 }
 
 TEST(ServeDaemon, HostileFramesGetErrorsNotCrashes)

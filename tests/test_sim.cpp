@@ -8,9 +8,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -335,117 +337,100 @@ TEST(InlineCallback, HoldsStdFunctionTransparently)
     EXPECT_EQ(hits, 2);
 }
 
-// ----------------------------------------- cross-kernel determinism
+// ------------------------------------------------ event order oracle
 
 /**
- * Drive one kernel through a deterministic pseudo-random schedule mixing
+ * Drive the queue through a deterministic pseudo-random schedule mixing
  * near/far deltas, same-tick bursts, all three priorities, and events
- * scheduling events, and record the exact execution trace.
+ * scheduling events. Every callback records the (when, prio, seq) key
+ * it was scheduled with; seq mirrors the queue's insertion counter
+ * (one per schedule call), so the executed keys must be strictly
+ * increasing under that order.
  */
-std::vector<std::pair<int, Tick>>
-traceKernel(EventQueue::Kernel kernel)
+TEST(EventQueueKernels, RunsInWhenPrioSeqOrder)
 {
-    EventQueue eq(kernel);
-    std::vector<std::pair<int, Tick>> trace;
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    EventQueue eq;
+    std::vector<Key> ran;
+    std::uint64_t seq = 0;
     std::mt19937_64 rng(0xC0FFEE);
-    int next_id = 0;
-
-    auto record = [&trace, &eq](int id) { trace.emplace_back(id, eq.curTick()); };
 
     constexpr EventQueue::Priority prios[] = {
         EventQueue::prioEarly, EventQueue::prioDefault,
         EventQueue::prioLate};
 
+    std::function<void(Tick, EventQueue::Priority, Tick)> at;
+    at = [&](Tick when, EventQueue::Priority prio, Tick chain) {
+        Key key{when, prio, seq++};
+        eq.schedule(
+            when,
+            [&, key, chain] {
+                EXPECT_EQ(eq.curTick(), std::get<0>(key));
+                ran.push_back(key);
+                // Near events schedule follow-ups themselves.
+                if (chain != 0)
+                    at(eq.curTick() + chain, EventQueue::prioDefault, 0);
+            },
+            prio);
+    };
+
     for (int round = 0; round < 200; ++round) {
         // A burst of same-tick events at mixed priorities.
         Tick burst = eq.curTick() + rng() % 64;
-        for (int i = 0; i < 4; ++i) {
-            int id = next_id++;
-            eq.schedule(burst, [id, record] { record(id); },
-                        prios[rng() % 3]);
-        }
-        // Near events (inside the wheel horizon) ...
+        for (int i = 0; i < 4; ++i)
+            at(burst, prios[rng() % 3], 0);
+        // Near events ...
         for (int i = 0; i < 8; ++i) {
-            int id = next_id++;
             Tick d = rng() % 5000;
-            int chain = next_id++;
-            eq.scheduleIn(d, [id, chain, d, record, &eq] {
-                record(id);
-                // ... that schedule follow-ups themselves.
-                eq.scheduleIn(d / 2 + 1,
-                              [chain, record] { record(chain); });
-            });
+            at(eq.curTick() + d, EventQueue::prioDefault, d / 2 + 1);
         }
-        // Far events, well past the 1024 * 512-tick wheel span.
+        // ... and far events, millions of ticks out.
         for (int i = 0; i < 2; ++i) {
-            int id = next_id++;
-            eq.scheduleIn((1u << 20) + rng() % (1u << 22),
-                          [id, record] { record(id); },
-                          prios[rng() % 3]);
+            at(eq.curTick() + (1u << 20) + rng() % (1u << 22),
+               prios[rng() % 3], 0);
         }
         // Drain a bounded stretch so scheduling interleaves with
-        // execution (exercising cursor advance + migration).
+        // execution.
         eq.run(eq.curTick() + 10000);
     }
     eq.run();
-    return trace;
-}
 
-TEST(EventQueueKernels, WheelMatchesHeapBitForBit)
-{
-    auto heap = traceKernel(EventQueue::Kernel::Heap);
-    auto wheel = traceKernel(EventQueue::Kernel::Wheel);
-    ASSERT_EQ(heap.size(), wheel.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        EXPECT_EQ(heap[i], wheel[i]) << "divergence at event " << i;
-    }
+    EXPECT_EQ(ran.size(), seq);
+    EXPECT_EQ(eq.executedCount(), seq);
+    for (std::size_t i = 1; i < ran.size(); ++i)
+        ASSERT_LT(ran[i - 1], ran[i]) << "out of order at event " << i;
 }
 
 TEST(EventQueueKernels, ScheduleBehindAdvancedCursor)
 {
-    // run(limit) advances curTick past empty stretches; an event then
-    // scheduled near curTick can land behind the wheel cursor and must
-    // still run before later wheel-resident events.
-    for (auto kernel :
-         {EventQueue::Kernel::Wheel, EventQueue::Kernel::Heap}) {
-        EventQueue eq(kernel);
-        std::vector<int> order;
-        eq.run(100000);
-        EXPECT_EQ(eq.curTick(), 100000u);
-        eq.schedule(100001, [&order] { order.push_back(1); });
-        eq.schedule(100002, [&order] { order.push_back(2); });
-        eq.schedule(200000, [&order] { order.push_back(3); });
-        eq.run();
-        EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    }
+    // run(limit) advances curTick past empty stretches; events then
+    // scheduled near curTick must still run in tick order.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.run(100000);
+    EXPECT_EQ(eq.curTick(), 100000u);
+    eq.schedule(100001, [&order] { order.push_back(1); });
+    eq.schedule(100002, [&order] { order.push_back(2); });
+    eq.schedule(200000, [&order] { order.push_back(3); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueueKernels, NextTickAgreesAcrossKernels)
+TEST(EventQueueKernels, NextTickTracksEarliestEvent)
 {
-    EventQueue heap(EventQueue::Kernel::Heap);
-    EventQueue wheel(EventQueue::Kernel::Wheel);
-    for (EventQueue *eq : {&heap, &wheel}) {
-        eq->schedule(700, [] {});
-        eq->schedule(50, [] {});
-        eq->schedule(1u << 24, [] {});
-    }
-    EXPECT_EQ(heap.nextTick(), 50u);
-    EXPECT_EQ(wheel.nextTick(), 50u);
-    heap.run(60);
-    wheel.run(60);
-    EXPECT_EQ(heap.nextTick(), 700u);
-    EXPECT_EQ(wheel.nextTick(), 700u);
-    heap.run(1000);
-    wheel.run(1000);
-    EXPECT_EQ(heap.nextTick(), Tick{1} << 24);
-    EXPECT_EQ(wheel.nextTick(), Tick{1} << 24);
-    heap.run();
-    wheel.run();
-    EXPECT_EQ(heap.nextTick(), maxTick);
-    EXPECT_EQ(wheel.nextTick(), maxTick);
-    EXPECT_EQ(heap.executedCount(), wheel.executedCount());
+    EventQueue eq;
+    eq.schedule(700, [] {});
+    eq.schedule(50, [] {});
+    eq.schedule(1u << 24, [] {});
+    EXPECT_EQ(eq.nextTick(), 50u);
+    eq.run(60);
+    EXPECT_EQ(eq.nextTick(), 700u);
+    eq.run(1000);
+    EXPECT_EQ(eq.nextTick(), Tick{1} << 24);
+    eq.run();
+    EXPECT_EQ(eq.nextTick(), maxTick);
+    EXPECT_EQ(eq.executedCount(), 3u);
 }
-
 
 } // namespace
 } // namespace smtp

@@ -143,7 +143,7 @@ TEST(Mailbox, ForEachInspectsWithoutConsuming)
 
 TEST(ShardSet, LocalAndBarrierSchedulingBypassMailboxes)
 {
-    ShardSet set(EventQueue::Kernel::Wheel, 2);
+    ShardSet set(2);
     int ran = 0;
     // Barrier phase (no bound shard): direct scheduling.
     set.schedule(1, 10, [&] { ++ran; });
@@ -164,7 +164,7 @@ TEST(ShardSet, CrossShardDrainOrderIsDeterministic)
     // barrier drain must deliver sorted by (due, sendTick, src, seq),
     // independent of push interleaving — that ordering is what makes
     // destination-queue sequence numbers host-thread invariant.
-    ShardSet set(EventQueue::Kernel::Heap, 3);
+    ShardSet set(3);
     std::vector<int> order;
     auto post = [&](unsigned src, Tick due, int tag) {
         ShardSet::setCurrent(&set, src);
@@ -188,7 +188,7 @@ TEST(ShardSet, CrossShardDrainOrderIsDeterministic)
 
 TEST(ShardSet, SingleShardWrapperDegeneratesToPlainQueue)
 {
-    EventQueue eq(EventQueue::Kernel::Wheel);
+    EventQueue eq;
     ShardSet set(eq);
     EXPECT_EQ(set.count(), 1u);
     int ran = 0;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,17 +73,33 @@ TEST(SweepPool, DefaultJobsHonorsEnv)
     EXPECT_GE(SweepPool::defaultJobs(), 1u);
 }
 
+TEST(SweepPool, ParseJobsAcceptsOnlyDigitsInRange)
+{
+    // A pure parse: no pool is built from any of these counts.
+    unsigned n = 7;
+    std::string err;
+    for (const char *bad : {"abc", "0", "-1", "1025", "", "+4", " 4",
+                            "4x", "99999999999999999999"}) {
+        EXPECT_FALSE(parseJobs(bad, n, &err)) << "'" << bad << "'";
+        EXPECT_NE(err.find(bad), std::string::npos) << err;
+        EXPECT_EQ(n, 7u) << "output touched by '" << bad << "'";
+    }
+    ASSERT_TRUE(parseJobs("4", n));
+    EXPECT_EQ(n, 4u);
+    ASSERT_TRUE(parseJobs("1024", n));
+    EXPECT_EQ(n, maxJobs);
+}
+
 // --------------------------------------------- machine determinism
 
 /** Build and run one small machine; return its reported exec time. */
 Tick
-runMachine(EventQueue::Kernel kernel)
+runMachine()
 {
     MachineParams mp;
     mp.model = MachineModel::SMTp;
     mp.nodes = 2;
     mp.appThreadsPerNode = 1;
-    mp.eventKernel = kernel;
     Machine machine(mp);
 
     auto app = workload::makeApp("fft");
@@ -179,12 +196,6 @@ TEST(SweepService, CoexistsWithParallelForBatches)
     EXPECT_EQ(batch.load(), 100);
 }
 
-TEST(SweepDeterminism, HeapAndWheelKernelsAgreeOnWholeMachines)
-{
-    EXPECT_EQ(runMachine(EventQueue::Kernel::Wheel),
-              runMachine(EventQueue::Kernel::Heap));
-}
-
 TEST(SweepDeterminism, ResultsIndependentOfWorkerCount)
 {
     // The same four cells swept serially and by a contended pool must
@@ -193,17 +204,15 @@ TEST(SweepDeterminism, ResultsIndependentOfWorkerCount)
         SweepPool pool(jobs);
         std::vector<Tick> out(4);
         pool.parallelFor(out.size(), [&out](std::size_t i) {
-            out[i] = runMachine(i % 2 == 0 ? EventQueue::Kernel::Wheel
-                                           : EventQueue::Kernel::Heap);
+            out[i] = runMachine();
         });
         return out;
     };
     std::vector<Tick> serial = sweep(1);
     std::vector<Tick> parallel = sweep(4);
     EXPECT_EQ(serial, parallel);
-    // And the two kernels agree cell-by-cell on top.
-    EXPECT_EQ(serial[0], serial[1]);
-    EXPECT_EQ(serial[2], serial[3]);
+    // The four cells are the same machine, so they agree too.
+    EXPECT_EQ(serial, std::vector<Tick>(4, serial[0]));
 }
 
 } // namespace

@@ -287,8 +287,6 @@ compareOrRegold(const std::string &got, const char *golden_name)
 
 TEST(TraceGolden, PerfettoAndCsvAreByteStable)
 {
-    if (!trace::compiledIn)
-        GTEST_SKIP() << "instrumentation compiled out (SMTP_TRACE=OFF)";
     trace::TraceData data;
     Tick exec = goldenRun(true, &data);
     ASSERT_GT(exec, 0u);

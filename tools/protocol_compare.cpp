@@ -315,7 +315,10 @@ toolMain(int argc, char **argv)
                 return 2;
             }
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            o.jobs = static_cast<unsigned>(std::stoul(value()));
+            if (!parseJobs(value(), o.jobs, &err)) {
+                std::fprintf(stderr, "--jobs: %s\n", err.c_str());
+                return 2;
+            }
         } else if (arg.rfind("--json=", 0) == 0) {
             o.jsonPath = value();
         } else if (arg == "--markdown") {

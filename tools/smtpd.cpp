@@ -25,6 +25,7 @@
 #include <string>
 
 #include "serve/server.hpp"
+#include "sim/sweep.hpp"
 
 namespace
 {
@@ -78,12 +79,11 @@ main(int argc, char **argv)
         } else if (const char *v = value("--state-dir=")) {
             opt.stateDir = v;
         } else if (const char *v = value("--jobs=")) {
-            long n = std::atol(v);
-            if (n < 1) {
-                std::fprintf(stderr, "smtpd: bad --jobs=%s\n", v);
+            std::string err;
+            if (!smtp::parseJobs(v, opt.jobs, &err)) {
+                std::fprintf(stderr, "smtpd: --jobs: %s\n", err.c_str());
                 return 2;
             }
-            opt.jobs = static_cast<unsigned>(n);
         } else if (const char *v = value("--deadline-ms=")) {
             long n = std::atol(v);
             if (n < 0) {

@@ -8,7 +8,7 @@
  *
  * `diff` is the state-divergence debugger: snapshot two machines that
  * should agree (e.g. an uninterrupted run vs. a restored one at the
- * same tick, or wheel vs. heap kernels) and it names the first
+ * same tick, or a serial vs. a parallel run) and it names the first
  * component section whose bytes differ and the offset of the first
  * differing byte, with a hex context window — narrowing "the machines
  * diverged somewhere" to "node1.cpu, byte 4132".
