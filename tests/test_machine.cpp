@@ -105,6 +105,15 @@ struct GridCase
     MachineModel model;
 };
 
+// Without this, gtest prints the case as raw bytes, including the app
+// name's pointer; the discovered ctest names would then differ between
+// builds.
+void
+PrintTo(const GridCase &c, std::ostream *os)
+{
+    *os << c.app << '/' << modelName(c.model);
+}
+
 class AppModelTest : public ::testing::TestWithParam<GridCase>
 {
 };
