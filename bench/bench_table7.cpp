@@ -13,8 +13,8 @@ main(int argc, char **argv)
 {
     auto opt = parseArgs(argc, argv);
     printHeader("Table 7: 16-node protocol occupancy (1-way nodes)",
-                "paper: FFT 10.2/3.6/5.3/5.8%%, Ocean 25/7.7/12.3/12.9%%, "
-                "Water 1.5/0.3/0.6/0.7%% (Base/IntPerf/Int512KB/SMTp)");
+                "paper: FFT 10.2/3.6/5.3/5.8%, Ocean 25/7.7/12.3/12.9%, "
+                "Water 1.5/0.3/0.6/0.7% (Base/IntPerf/Int512KB/SMTp)");
 
     const MachineModel models[] = {
         MachineModel::Base, MachineModel::IntPerfect,

@@ -18,7 +18,7 @@ main(int argc, char **argv)
     auto opt = parseArgs(argc, argv);
     printHeader("Tables 8-9: SMTp protocol-thread characteristics "
                 "(16 nodes, 1-way)",
-                "Table 8: e.g. FFT 2.1%% mispred, 0.02%% squash, 4.2%% "
+                "Table 8: e.g. FFT 2.1% mispred, 0.02% squash, 4.2% "
                 "retired; Table 9: peaks ~22-28 brstack, ~100-113 regs, "
                 "32 IQ, 20-35 LSQ");
 

@@ -102,6 +102,18 @@ runCells(const BenchOptions &opt, const std::vector<RunConfig> &cfgs_in)
         }
     }
 
+    // Opened before the sweep so a bad path fails in milliseconds, not
+    // after every cell has simulated.
+    std::FILE *json = nullptr;
+    if (!opt.jsonPath.empty()) {
+        json = std::fopen(opt.jsonPath.c_str(), "a");
+        if (json == nullptr) {
+            std::fprintf(stderr, "cannot open json output '%s'\n",
+                         opt.jsonPath.c_str());
+            std::exit(1);
+        }
+    }
+
     if (!opt.serverSock.empty()) {
         // The daemon owns checkpointing and artifact paths; local
         // --ckpt-dir/--trace directories don't apply over there (the
@@ -109,16 +121,10 @@ runCells(const BenchOptions &opt, const std::vector<RunConfig> &cfgs_in)
         std::vector<std::string> records;
         std::vector<RunResult> results =
             runCellsOnServer(opt, cfgs, records);
-        if (!opt.jsonPath.empty()) {
-            std::FILE *f = std::fopen(opt.jsonPath.c_str(), "a");
-            if (f == nullptr) {
-                std::fprintf(stderr, "cannot open json output '%s'\n",
-                             opt.jsonPath.c_str());
-                std::exit(1);
-            }
+        if (json != nullptr) {
             for (const std::string &r : records)
-                std::fprintf(f, "%s\n", r.c_str());
-            std::fclose(f);
+                std::fprintf(json, "%s\n", r.c_str());
+            std::fclose(json);
         }
         return results;
     }
@@ -149,24 +155,12 @@ runCells(const BenchOptions &opt, const std::vector<RunConfig> &cfgs_in)
             opt.ckptDir.c_str(), static_cast<unsigned long long>(hits),
             static_cast<unsigned long long>(misses));
     }
-    if (!opt.jsonPath.empty())
-        appendJson(opt.jsonPath, cfgs, results);
-    return results;
-}
-
-void
-appendJson(const std::string &path, const std::vector<RunConfig> &cfgs,
-           const std::vector<RunResult> &results)
-{
-    std::FILE *f = std::fopen(path.c_str(), "a");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open json output '%s'\n",
-                     path.c_str());
-        std::exit(1);
+    if (json != nullptr) {
+        for (std::size_t i = 0; i < cfgs.size(); ++i)
+            serve::appendJsonRecord(json, cfgs[i], results[i]);
+        std::fclose(json);
     }
-    for (std::size_t i = 0; i < cfgs.size(); ++i)
-        serve::appendJsonRecord(f, cfgs[i], results[i]);
-    std::fclose(f);
+    return results;
 }
 
 const std::vector<std::string> &

@@ -91,11 +91,6 @@ BenchOptions parseArgs(int argc, char **argv);
 std::vector<RunResult> runCells(const BenchOptions &opt,
                                 const std::vector<RunConfig> &cfgs);
 
-/** Append one JSON-Lines record per cell to @p path (in cell order). */
-void appendJson(const std::string &path,
-                const std::vector<RunConfig> &cfgs,
-                const std::vector<RunResult> &results);
-
 /** Printing helpers. */
 void printHeader(const std::string &title, const std::string &paper_note);
 void printRowHeader(const std::vector<std::string> &cols);

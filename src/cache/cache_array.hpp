@@ -147,40 +147,22 @@ class CacheArray
             line = CacheLine{};
     }
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(stamp_);
-        out.u64(lines_.size());
-        for (const auto &l : lines_) {
-            out.u64(l.addr);
-            out.u8(static_cast<std::uint8_t>(l.state));
-            out.b(l.protocolLine);
-            out.u64(l.lruStamp);
-        }
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        stamp_ = in.u64();
-        std::uint64_t n = in.u64();
-        if (n != lines_.size()) {
-            in.fail("cache geometry mismatch (config hash should have "
-                    "caught this)");
-            return;
-        }
-        for (auto &l : lines_) {
-            l.addr = in.u64();
-            std::uint8_t st = in.u8();
-            if (st > static_cast<std::uint8_t>(LineState::Mod)) {
-                in.fail("corrupt snapshot: cache line state out of range");
-                return;
-            }
-            l.state = static_cast<LineState>(st);
-            l.protocolLine = in.bl();
-            l.lruStamp = in.u64();
-        }
+        ar.u64(stamp_);
+        ar.fixed(lines_,
+                 "cache geometry mismatch (config hash should have "
+                 "caught this)",
+                 [](Ar &a, CacheLine &l) {
+                     a.u64(l.addr);
+                     a.u8(l.state, LineState::Mod,
+                          "corrupt snapshot: cache line state out of "
+                          "range");
+                     a.b(l.protocolLine);
+                     a.u64(l.lruStamp);
+                 });
     }
 
   private:

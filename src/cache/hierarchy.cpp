@@ -756,139 +756,54 @@ CacheHierarchy::mshrsInUse() const
 
 // ---- Snapshot support --------------------------------------------------
 
-namespace
-{
-
+template <class Ar>
 void
-putCallbacks(snap::Ser &out, const std::vector<EventQueue::Callback> &v)
+CacheHierarchy::io(Ar &ar)
 {
-    out.u64(v.size());
-    for (const auto &cb : v)
-        snap::EventCodec::encode(out, cb);
-}
+    ar.obj(l1i_, l1d_, l2_, bypI_, bypD_, byp2_);
 
-void
-getCallbacks(snap::Des &in, const snap::EventCodec &codec,
-             std::vector<EventQueue::Callback> &v)
-{
-    v.clear();
-    std::uint64_t n = in.count(4);
-    v.reserve(n);
-    for (std::uint64_t i = 0; in.ok() && i < n; ++i)
-        v.push_back(codec.decode(in));
-}
-
-} // namespace
-
-void
-CacheHierarchy::saveState(snap::Ser &out) const
-{
-    l1i_.saveState(out);
-    l1d_.saveState(out);
-    l2_.saveState(out);
-    bypI_.saveState(out);
-    bypD_.saveState(out);
-    byp2_.saveState(out);
-
-    out.u64(mshrs_.size());
-    for (const auto &m : mshrs_) {
-        out.b(m.valid);
-        out.u64(m.lineAddr);
-        out.b(m.wantExcl);
-        out.b(m.isUpgrade);
-        out.b(m.prefetch);
-        out.b(m.invalPoison);
-        out.b(m.storeWaiting);
-        out.b(m.wantsL1i);
-        out.u64(m.demandAddr);
-        putCallbacks(out, m.loadWaiters);
-        putCallbacks(out, m.storeWaiters);
-    }
-
-    out.seq(outQ_, [](snap::Ser &s, const proto::Message &m) {
-        proto::snapPut(s, m);
+    auto callbacks = [](Ar &a, std::vector<EventQueue::Callback> &v) {
+        a.seq(v, 4, [](Ar &a2, EventQueue::Callback &cb) { a2.cb(cb); });
+    };
+    ar.fixed(mshrs_, "MSHR count mismatch", [&](Ar &a, Mshr &m) {
+        a.b(m.valid);
+        a.u64(m.lineAddr);
+        a.b(m.wantExcl);
+        a.b(m.isUpgrade);
+        a.b(m.prefetch);
+        a.b(m.invalPoison);
+        a.b(m.storeWaiting);
+        a.b(m.wantsL1i);
+        a.u64(m.demandAddr);
+        callbacks(a, m.loadWaiters);
+        callbacks(a, m.storeWaiters);
     });
-    out.b(drainScheduled_);
+
+    ar.seq(outQ_, 8, [](Ar &a, proto::Message &m) { a.obj(m); });
+    ar.b(drainScheduled_);
 
     std::vector<Addr> wb(wbPending_.begin(), wbPending_.end());
     std::sort(wb.begin(), wb.end());
-    out.seq(wb, [](snap::Ser &s, Addr a) { s.u64(a); });
-
-    std::vector<Addr> pp;
-    pp.reserve(protoPending_.size());
-    for (const auto &[a, fns] : protoPending_)
-        pp.push_back(a);
-    std::sort(pp.begin(), pp.end());
-    out.u64(pp.size());
-    for (Addr a : pp) {
-        out.u64(a);
-        putCallbacks(out, protoPending_.at(a));
+    ar.seq(wb, 8, [](Ar &a, Addr &addr) { a.u64(addr); });
+    if constexpr (Ar::loading) {
+        wbPending_.clear();
+        wbPending_.insert(wb.begin(), wb.end());
     }
 
-    for (const Counter *c :
-         {&l1iHits, &l1iMisses, &l1dHits, &l1dMisses, &l2Hits, &l2Misses,
-          &protoL1dHits, &protoL1dMisses, &protoL2Hits, &protoL2Misses,
-          &upgradesIssued, &writebacksDirty, &writebacksClean,
-          &prefetchesIssued, &prefetchesDropped, &prefetchesUseful,
-          &bypassAllocs, &probesDeferred, &fillsPoisoned, &replayInvals})
-        c->saveState(out);
+    ar.sortedMap(protoPending_, 8,
+                 [&](Ar &a, Addr, std::vector<EventQueue::Callback> &v) {
+                     callbacks(a, v);
+                 });
+
+    ar.obj(l1iHits, l1iMisses, l1dHits, l1dMisses, l2Hits, l2Misses,
+           protoL1dHits, protoL1dMisses, protoL2Hits, protoL2Misses,
+           upgradesIssued, writebacksDirty, writebacksClean,
+           prefetchesIssued, prefetchesDropped, prefetchesUseful,
+           bypassAllocs, probesDeferred, fillsPoisoned, replayInvals);
 }
 
-void
-CacheHierarchy::restoreState(snap::Des &in, const snap::EventCodec &codec)
-{
-    l1i_.restoreState(in);
-    l1d_.restoreState(in);
-    l2_.restoreState(in);
-    bypI_.restoreState(in);
-    bypD_.restoreState(in);
-    byp2_.restoreState(in);
-
-    std::uint64_t nm = in.u64();
-    if (nm != mshrs_.size()) {
-        in.fail("MSHR count mismatch");
-        return;
-    }
-    for (auto &m : mshrs_) {
-        m.valid = in.bl();
-        m.lineAddr = in.u64();
-        m.wantExcl = in.bl();
-        m.isUpgrade = in.bl();
-        m.prefetch = in.bl();
-        m.invalPoison = in.bl();
-        m.storeWaiting = in.bl();
-        m.wantsL1i = in.bl();
-        m.demandAddr = in.u64();
-        getCallbacks(in, codec, m.loadWaiters);
-        getCallbacks(in, codec, m.storeWaiters);
-    }
-
-    outQ_.clear();
-    std::uint64_t nq = in.count(8);
-    for (std::uint64_t i = 0; in.ok() && i < nq; ++i)
-        outQ_.push_back(proto::snapGetMessage(in));
-    drainScheduled_ = in.bl();
-
-    wbPending_.clear();
-    std::uint64_t nwb = in.count(8);
-    for (std::uint64_t i = 0; in.ok() && i < nwb; ++i)
-        wbPending_.insert(in.u64());
-
-    protoPending_.clear();
-    std::uint64_t npp = in.count(8);
-    for (std::uint64_t i = 0; in.ok() && i < npp; ++i) {
-        Addr a = in.u64();
-        getCallbacks(in, codec, protoPending_[a]);
-    }
-
-    for (Counter *c :
-         {&l1iHits, &l1iMisses, &l1dHits, &l1dMisses, &l2Hits, &l2Misses,
-          &protoL1dHits, &protoL1dMisses, &protoL2Hits, &protoL2Misses,
-          &upgradesIssued, &writebacksDirty, &writebacksClean,
-          &prefetchesIssued, &prefetchesDropped, &prefetchesUseful,
-          &bypassAllocs, &probesDeferred, &fillsPoisoned, &replayInvals})
-        c->restoreState(in);
-}
+template void CacheHierarchy::io(snap::Ser &);
+template void CacheHierarchy::io(snap::Des &);
 
 void
 CacheHierarchy::registerSnapEvents(
@@ -910,8 +825,8 @@ CacheHierarchy::registerSnapEvents(
                   CacheHierarchy *c = resolve(n);
                   Addr line = in.u64();
                   Addr demand = in.u64();
-                  bool is_store = in.bl();
-                  bool is_ifetch = in.bl();
+                  bool is_store = in.b();
+                  bool is_ifetch = in.b();
                   if (c == nullptr) {
                       in.fail("bypass fill event for unknown node");
                       return {};

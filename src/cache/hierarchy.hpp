@@ -243,8 +243,7 @@ class CacheHierarchy
         }
     };
 
-    void saveState(snap::Ser &out) const;
-    void restoreState(snap::Des &in, const snap::EventCodec &codec);
+    template <class Ar> void io(Ar &ar);
     static void
     registerSnapEvents(snap::EventCodec &codec,
                        std::function<CacheHierarchy *(NodeId)> resolve);

@@ -77,18 +77,12 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
-    {
-        for (std::uint64_t w : state_)
-            out.u64(w);
-    }
-
-    void
-    restoreState(snap::Des &in)
+    io(Ar &ar)
     {
         for (std::uint64_t &w : state_)
-            w = in.u64();
+            ar.u64(w);
     }
 
   private:

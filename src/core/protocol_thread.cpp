@@ -198,52 +198,38 @@ ProtocolThread::consume()
     SMTP_PANIC("consume with no protocol micro-ops pending");
 }
 
+template <class Ar>
 void
-ProtocolThread::saveState(snap::Ser &out) const
+ProtocolThread::io(Ar &ar)
 {
-    out.u64(handlers_.size());
-    for (const Handler &h : handlers_) {
-        out.u64(h.ctx->id);
-        out.u64(h.fetchIdx);
-    }
-    out.u64(busyTicks_);
-    out.u64(busyStart_);
-    handlersStarted.saveState(out);
-    lookAheadStarts.saveState(out);
-    opsSupplied.saveState(out);
+    ar.seq(handlers_, 16, [this](Ar &a, Handler &h) {
+        std::uint64_t id = h.ctx != nullptr ? h.ctx->id : 0;
+        std::uint64_t fetch_idx = h.fetchIdx;
+        a.u64(id);
+        a.u64(fetch_idx);
+        if constexpr (Ar::loading) {
+            h.ctx = mc_->ctxById(id);
+            if (h.ctx == nullptr) {
+                a.fail("corrupt snapshot: protocol thread references an "
+                       "unknown transaction");
+                return;
+            }
+            convertTrace(h);
+            if (fetch_idx > h.ops.size()) {
+                a.fail("corrupt snapshot: handler fetch cursor out of "
+                       "range");
+                return;
+            }
+            h.fetchIdx = fetch_idx;
+        }
+    });
+    ar.u64(busyTicks_);
+    ar.u64(busyStart_);
+    ar.obj(handlersStarted, lookAheadStarts, opsSupplied);
 }
 
-void
-ProtocolThread::restoreState(snap::Des &in)
-{
-    handlers_.clear();
-    std::uint64_t n = in.count(16);
-    for (std::uint64_t i = 0; in.ok() && i < n; ++i) {
-        std::uint64_t id = in.u64();
-        std::uint64_t fetch_idx = in.u64();
-        TransactionCtx *ctx = mc_->ctxById(id);
-        if (ctx == nullptr) {
-            in.fail("corrupt snapshot: protocol thread references an "
-                    "unknown transaction");
-            return;
-        }
-        handlers_.emplace_back();
-        Handler &h = handlers_.back();
-        h.ctx = ctx;
-        convertTrace(h);
-        if (fetch_idx > h.ops.size()) {
-            in.fail("corrupt snapshot: handler fetch cursor out of "
-                    "range");
-            return;
-        }
-        h.fetchIdx = fetch_idx;
-    }
-    busyTicks_ = in.u64();
-    busyStart_ = in.u64();
-    handlersStarted.restoreState(in);
-    lookAheadStarts.restoreState(in);
-    opsSupplied.restoreState(in);
-}
+template void ProtocolThread::io(snap::Ser &);
+template void ProtocolThread::io(snap::Des &);
 
 TransactionCtx *
 ProtocolThread::ctxForToken(std::uint64_t token)

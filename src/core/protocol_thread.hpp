@@ -71,8 +71,7 @@ class ProtocolThread : public ProtocolAgent, public InstSource
     // the ctx id and the fetch cursor persist. No events to register —
     // the protocol thread schedules nothing itself.
 
-    void saveState(snap::Ser &out) const;
-    void restoreState(snap::Des &in);
+    template <class Ar> void io(Ar &ar);
 
     // ---- Stats --------------------------------------------------------
 

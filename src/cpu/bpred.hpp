@@ -79,74 +79,35 @@ class TournamentBpred
 
     // ---- Snapshot support (geometry is construction-time; state only) --
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(threads_.size());
-        for (const auto &t : threads_) {
-            for (std::uint16_t h : t.localHist)
-                out.u16(h);
-            out.u32(t.globalHist);
-            for (std::uint64_t r : t.ras)
-                out.u64(r);
-            out.u32(t.rasTop);
-        }
-        for (std::uint8_t c : localPht_)
-            out.u8(c);
-        for (std::uint8_t c : globalPht_)
-            out.u8(c);
-        for (std::uint8_t c : choice_)
-            out.u8(c);
-        out.u64(btb_.size());
-        for (const BtbEntry &e : btb_) {
-            out.u64(e.pc);
-            out.u64(e.target);
-            out.b(e.valid);
-            out.u64(e.lru);
-        }
-        out.u64(btbStamp_);
-        lookups.saveState(out);
-        condLookups.saveState(out);
-        mispredicts.saveState(out);
-        btbMisses.saveState(out);
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        if (in.u64() != threads_.size()) {
-            in.fail("corrupt snapshot: predictor thread count mismatch");
-            return;
-        }
-        for (auto &t : threads_) {
-            for (std::uint16_t &h : t.localHist)
-                h = in.u16();
-            t.globalHist = in.u32();
-            for (std::uint64_t &r : t.ras)
-                r = in.u64();
-            t.rasTop = in.u32();
-        }
+        ar.fixed(threads_,
+                 "corrupt snapshot: predictor thread count mismatch",
+                 [](Ar &a, ThreadPred &t) {
+                     for (std::uint16_t &h : t.localHist)
+                         a.u16(h);
+                     a.u32(t.globalHist);
+                     for (std::uint64_t &r : t.ras)
+                         a.u64(r);
+                     a.u32(t.rasTop);
+                 });
         for (std::uint8_t &c : localPht_)
-            c = in.u8();
+            ar.u8(c);
         for (std::uint8_t &c : globalPht_)
-            c = in.u8();
+            ar.u8(c);
         for (std::uint8_t &c : choice_)
-            c = in.u8();
-        if (in.u64() != btb_.size()) {
-            in.fail("corrupt snapshot: BTB geometry mismatch");
-            return;
-        }
-        for (BtbEntry &e : btb_) {
-            e.pc = in.u64();
-            e.target = in.u64();
-            e.valid = in.bl();
-            e.lru = in.u64();
-        }
-        btbStamp_ = in.u64();
-        lookups.restoreState(in);
-        condLookups.restoreState(in);
-        mispredicts.restoreState(in);
-        btbMisses.restoreState(in);
+            ar.u8(c);
+        ar.fixed(btb_, "corrupt snapshot: BTB geometry mismatch",
+                 [](Ar &a, BtbEntry &e) {
+                     a.u64(e.pc);
+                     a.u64(e.target);
+                     a.b(e.valid);
+                     a.u64(e.lru);
+                 });
+        ar.u64(btbStamp_);
+        ar.obj(lookups, condLookups, mispredicts, btbMisses);
     }
 
   private:

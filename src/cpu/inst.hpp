@@ -120,56 +120,30 @@ struct MicroOp
     bool endOfHandler = false;    ///< PLdctxt.
 
     std::uint64_t token = 0;      ///< Source-private bookkeeping.
-};
 
-// ---- Snapshot codec (in-flight micro-ops survive checkpoints) --------
-
-inline void
-snapPut(snap::Ser &s, const MicroOp &op)
-{
-    s.u64(op.pc);
-    s.u8(static_cast<std::uint8_t>(op.cls));
-    s.u8(op.src1);
-    s.u8(op.src2);
-    s.u8(op.dest);
-    s.u64(op.effAddr);
-    s.u8(op.memBytes);
-    s.b(op.isCondBranch);
-    s.b(op.isCall);
-    s.b(op.isReturn);
-    s.b(op.taken);
-    s.u64(op.target);
-    s.i32(op.sendIdx);
-    s.b(op.endOfHandler);
-    s.u64(op.token);
-}
-
-inline MicroOp
-snapGetMicroOp(snap::Des &d)
-{
-    MicroOp op;
-    op.pc = d.u64();
-    std::uint8_t cls = d.u8();
-    if (cls > static_cast<std::uint8_t>(OpClass::PLdprobe)) {
-        d.fail("corrupt snapshot: op class out of range");
-        return op;
+    /** In-flight micro-ops survive checkpoints. */
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u64(pc);
+        ar.u8(cls, OpClass::PLdprobe,
+              "corrupt snapshot: op class out of range");
+        ar.u8(src1);
+        ar.u8(src2);
+        ar.u8(dest);
+        ar.u64(effAddr);
+        ar.u8(memBytes);
+        ar.b(isCondBranch);
+        ar.b(isCall);
+        ar.b(isReturn);
+        ar.b(taken);
+        ar.u64(target);
+        ar.u32(sendIdx);
+        ar.b(endOfHandler);
+        ar.u64(token);
     }
-    op.cls = static_cast<OpClass>(cls);
-    op.src1 = d.u8();
-    op.src2 = d.u8();
-    op.dest = d.u8();
-    op.effAddr = d.u64();
-    op.memBytes = d.u8();
-    op.isCondBranch = d.bl();
-    op.isCall = d.bl();
-    op.isReturn = d.bl();
-    op.taken = d.bl();
-    op.target = d.u64();
-    op.sendIdx = d.i32();
-    op.endOfHandler = d.bl();
-    op.token = d.u64();
-    return op;
-}
+};
 
 /**
  * Per-thread instruction supplier. The pipeline peeks the next

@@ -37,6 +37,35 @@ struct SmtCpu::DynInst
     bool predTaken = false;
     bool nonSpecStarted = false;
     bool replayTrap = false;
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u64(uid);
+        ar.obj(op);
+        ar.u8(tid);
+        ar.u64(seq);
+        ar.b(wrongPath);
+        ar.b(renamed);
+        ar.u16(psrc1);
+        ar.u16(psrc2);
+        ar.b(psrc1Fp);
+        ar.b(psrc2Fp);
+        ar.u16(pdst);
+        ar.u16(oldPdst);
+        ar.b(pdstFp);
+        ar.u32(chkpt);
+        ar.b(icounted);
+        ar.b(issued);
+        ar.b(memAccessed);
+        ar.b(completed);
+        ar.b(squashed);
+        ar.b(mispredicted);
+        ar.b(predTaken);
+        ar.b(nonSpecStarted);
+        ar.b(replayTrap);
+    }
 };
 
 struct SmtCpu::Checkpoint
@@ -1231,359 +1260,148 @@ SmtCpu::ProtoSbDrainEv::operator()() const
     c->scheduleTick();
 }
 
-namespace
-{
-
+template <class Ar>
 void
-putDyn(snap::Ser &s, const SmtCpu::DynInst &d)
-{
-    s.u64(d.uid);
-    snapPut(s, d.op);
-    s.u8(d.tid);
-    s.u64(d.seq);
-    s.b(d.wrongPath);
-    s.b(d.renamed);
-    s.u16(d.psrc1);
-    s.u16(d.psrc2);
-    s.b(d.psrc1Fp);
-    s.b(d.psrc2Fp);
-    s.u16(d.pdst);
-    s.u16(d.oldPdst);
-    s.b(d.pdstFp);
-    s.i32(d.chkpt);
-    s.b(d.icounted);
-    s.b(d.issued);
-    s.b(d.memAccessed);
-    s.b(d.completed);
-    s.b(d.squashed);
-    s.b(d.mispredicted);
-    s.b(d.predTaken);
-    s.b(d.nonSpecStarted);
-    s.b(d.replayTrap);
-}
-
-void
-getDyn(snap::Des &in, SmtCpu::DynInst &d, unsigned nthreads,
-       unsigned branch_stack)
-{
-    d.uid = in.u64();
-    d.op = snapGetMicroOp(in);
-    d.tid = in.u8();
-    d.seq = in.u64();
-    d.wrongPath = in.bl();
-    d.renamed = in.bl();
-    d.psrc1 = in.u16();
-    d.psrc2 = in.u16();
-    d.psrc1Fp = in.bl();
-    d.psrc2Fp = in.bl();
-    d.pdst = in.u16();
-    d.oldPdst = in.u16();
-    d.pdstFp = in.bl();
-    d.chkpt = in.i32();
-    d.icounted = in.bl();
-    d.issued = in.bl();
-    d.memAccessed = in.bl();
-    d.completed = in.bl();
-    d.squashed = in.bl();
-    d.mispredicted = in.bl();
-    d.predTaken = in.bl();
-    d.nonSpecStarted = in.bl();
-    d.replayTrap = in.bl();
-    if (d.uid == 0 || d.tid >= nthreads || d.chkpt < -1 ||
-        d.chkpt >= static_cast<int>(branch_stack)) {
-        in.fail("corrupt snapshot: dynamic instruction out of range");
-    }
-}
-
-void
-putUidList(snap::Ser &s, const std::deque<SmtCpu::DynInst *> &q)
-{
-    s.u64(q.size());
-    for (const SmtCpu::DynInst *d : q)
-        s.u64(d->uid);
-}
-
-} // namespace
-
-void
-SmtCpu::saveState(snap::Ser &out) const
+SmtCpu::io(Ar &ar)
 {
     // Live instruction pool, in chunk order (deterministic: chunks are
-    // append-only and slots never move).
-    std::uint64_t live_count = 0;
-    for (const auto &chunk : live_->chunks) {
-        for (std::size_t i = 0; i < LiveRegistry::chunkSize; ++i)
-            live_count += chunk[i].uid != 0;
-    }
-    out.u64(live_count);
-    for (const auto &chunk : live_->chunks) {
-        for (std::size_t i = 0; i < LiveRegistry::chunkSize; ++i) {
-            if (chunk[i].uid != 0)
-                putDyn(out, chunk[i]);
-        }
-    }
-    out.u64(live_->next);
-
-    out.u64(seqCounter_);
-    out.u32(rrCommit_);
-    out.b(tickScheduled_);
-    out.b(started_);
-    out.b(frontPriorityApp_);
-    out.u32(lsqCount_);
-
-    out.u64(threads_.size());
-    for (const auto &tp : threads_) {
-        const ThreadState &t = *tp;
-        putUidList(out, t.rob);
-        for (std::uint16_t m : t.map)
-            out.u16(m);
-        putUidList(out, t.lsqOrder);
-        out.b(t.fetchStalled);
-        out.u64(t.fetchResumeTick);
-        out.u64(t.lastFetchLine);
-        out.b(t.wrongPathMode);
-        out.u64(t.wrongPathPc);
-        out.u32(t.wrongPathCnt);
-        out.u32(t.icount);
-        out.u8(t.stallCause);
-        t.stats.committed.saveState(out);
-        t.stats.committedMem.saveState(out);
-        t.stats.memStallCycles.saveState(out);
-        t.stats.branches.saveState(out);
-        t.stats.condBranches.saveState(out);
-        t.stats.mispredicts.saveState(out);
-        t.stats.squashedInsts.saveState(out);
-        t.stats.squashCycles.saveState(out);
-        t.stats.replays.saveState(out);
-        t.stats.wrongPathFetched.saveState(out);
-        t.stats.itlbMisses.saveState(out);
-        t.stats.dtlbMisses.saveState(out);
-    }
-
-    putUidList(out, decodeQApp_);
-    putUidList(out, decodeQProto_);
-    putUidList(out, renameQApp_);
-    putUidList(out, renameQProto_);
-
-    for (std::uint8_t r : intReady_)
-        out.u8(r);
-    for (std::uint8_t r : fpReady_)
-        out.u8(r);
-    out.u64(intFree_.size());
-    for (std::uint16_t r : intFree_)
-        out.u16(r);
-    out.u64(fpFree_.size());
-    for (std::uint16_t r : fpFree_)
-        out.u16(r);
-    for (ThreadId o : intOwner_)
-        out.u8(o);
-
-    out.u64(chkpts_.size());
-    for (const Checkpoint &ck : chkpts_) {
-        out.b(ck.valid);
-        out.u8(ck.tid);
-        out.u64(ck.seq);
-        for (std::uint16_t m : ck.map)
-            out.u16(m);
-        out.u32(ck.ras.top);
-        out.u64(ck.ras.tosValue);
-    }
-
-    putUidList(out, intQ_);
-    putUidList(out, fpQ_);
-
-    out.u64(storeBuffer_.size());
-    for (const SbEntry &e : storeBuffer_) {
-        out.u64(e.addr);
-        out.u8(e.tid);
-        out.b(e.protocolSpace);
-    }
-    out.b(sbDrainBusy_);
-    out.b(sbProtoDrainBusy_);
-
-    auto put_tlb = [&](const Tlb &tlb) {
-        out.u64(tlb.entries.size());
-        for (const auto &e : tlb.entries) {
-            out.u64(e.first);
-            out.u64(e.second);
-        }
-        out.u64(tlb.stamp);
-        tlb.misses.saveState(out);
-    };
-    put_tlb(itlb_);
-    put_tlb(dtlb_);
-
-    bpred_.saveState(out);
-
-    protoOccupancy.branchStack.saveState(out);
-    protoOccupancy.intRegs.saveState(out);
-    protoOccupancy.intQueue.saveState(out);
-    protoOccupancy.lsq.saveState(out);
-    cycles.saveState(out);
-    fetchedInsts.saveState(out);
-}
-
-void
-SmtCpu::restoreState(snap::Des &in)
-{
-    // Rebuild the instruction pool from scratch; every queue below
-    // re-resolves its members through the uid map.
-    live_ = std::make_unique<LiveRegistry>();
-    std::uint64_t live_count = in.count(64);
-    for (std::uint64_t i = 0; in.ok() && i < live_count; ++i) {
-        DynInst *d = live_->alloc();
-        getDyn(in, *d, static_cast<unsigned>(threads_.size()),
-               params_.branchStack);
-        if (!in.ok())
-            return;
-        if (!live_->restoreMap.emplace(d->uid, d).second) {
-            in.fail("corrupt snapshot: duplicate instruction uid");
-            return;
-        }
-    }
-    live_->next = in.u64();
-
-    auto get_uid_list = [&](std::deque<DynInst *> &q) {
-        q.clear();
-        std::uint64_t n = in.count(8);
-        for (std::uint64_t i = 0; in.ok() && i < n; ++i) {
-            DynInst *d = resolveUid(in.u64());
-            if (d == nullptr) {
-                in.fail("corrupt snapshot: queue references a dead "
-                        "instruction");
+    // append-only and slots never move). Restore rebuilds the pool from
+    // scratch; every queue below re-resolves its members by uid.
+    if constexpr (Ar::loading) {
+        live_ = std::make_unique<LiveRegistry>();
+        std::uint64_t live_count = ar.count(64);
+        for (std::uint64_t i = 0; ar.ok() && i < live_count; ++i) {
+            DynInst *d = live_->alloc();
+            d->io(ar);
+            if (d->uid == 0 || d->tid >= threads_.size() || d->chkpt < -1 ||
+                d->chkpt >= static_cast<int>(params_.branchStack)) {
+                ar.fail("corrupt snapshot: dynamic instruction out of "
+                        "range");
+            }
+            if (!ar.ok())
+                return;
+            if (!live_->restoreMap.emplace(d->uid, d).second) {
+                ar.fail("corrupt snapshot: duplicate instruction uid");
                 return;
             }
-            q.push_back(d);
         }
+    } else {
+        std::uint64_t live_count = 0;
+        for (const auto &chunk : live_->chunks) {
+            for (std::size_t i = 0; i < LiveRegistry::chunkSize; ++i)
+                live_count += chunk[i].uid != 0;
+        }
+        ar.u64(live_count);
+        for (const auto &chunk : live_->chunks) {
+            for (std::size_t i = 0; i < LiveRegistry::chunkSize; ++i) {
+                if (chunk[i].uid != 0)
+                    chunk[i].io(ar);
+            }
+        }
+    }
+    ar.u64(live_->next);
+
+    auto uids = [this, &ar](std::deque<DynInst *> &q) {
+        ar.seq(q, 8, [this](Ar &a, DynInst *&d) {
+            std::uint64_t uid = d != nullptr ? d->uid : 0;
+            a.u64(uid);
+            if constexpr (Ar::loading) {
+                d = resolveUid(uid);
+                if (d == nullptr)
+                    a.fail("corrupt snapshot: queue references a dead "
+                           "instruction");
+            }
+        });
     };
 
-    seqCounter_ = in.u64();
-    rrCommit_ = in.u32();
-    tickScheduled_ = in.bl();
-    started_ = in.bl();
-    frontPriorityApp_ = in.bl();
-    lsqCount_ = in.u32();
+    ar.u64(seqCounter_);
+    ar.u32(rrCommit_);
+    ar.b(tickScheduled_);
+    ar.b(started_);
+    ar.b(frontPriorityApp_);
+    ar.u32(lsqCount_);
 
-    if (in.u64() != threads_.size()) {
-        in.fail("corrupt snapshot: thread count mismatch");
-        return;
-    }
-    for (auto &tp : threads_) {
-        ThreadState &t = *tp;
-        get_uid_list(t.rob);
-        for (std::uint16_t &m : t.map)
-            m = in.u16();
-        get_uid_list(t.lsqOrder);
-        t.fetchStalled = in.bl();
-        t.fetchResumeTick = in.u64();
-        t.lastFetchLine = in.u64();
-        t.wrongPathMode = in.bl();
-        t.wrongPathPc = in.u64();
-        t.wrongPathCnt = in.u32();
-        t.icount = in.u32();
-        t.stallCause = in.u8();
-        t.stats.committed.restoreState(in);
-        t.stats.committedMem.restoreState(in);
-        t.stats.memStallCycles.restoreState(in);
-        t.stats.branches.restoreState(in);
-        t.stats.condBranches.restoreState(in);
-        t.stats.mispredicts.restoreState(in);
-        t.stats.squashedInsts.restoreState(in);
-        t.stats.squashCycles.restoreState(in);
-        t.stats.replays.restoreState(in);
-        t.stats.wrongPathFetched.restoreState(in);
-        t.stats.itlbMisses.restoreState(in);
-        t.stats.dtlbMisses.restoreState(in);
-    }
+    ar.fixed(threads_, "corrupt snapshot: thread count mismatch",
+             [&](Ar &a, std::unique_ptr<ThreadState> &tp) {
+                 ThreadState &t = *tp;
+                 uids(t.rob);
+                 for (std::uint16_t &m : t.map)
+                     a.u16(m);
+                 uids(t.lsqOrder);
+                 a.b(t.fetchStalled);
+                 a.u64(t.fetchResumeTick);
+                 a.u64(t.lastFetchLine);
+                 a.b(t.wrongPathMode);
+                 a.u64(t.wrongPathPc);
+                 a.u32(t.wrongPathCnt);
+                 a.u32(t.icount);
+                 a.u8(t.stallCause);
+                 ThreadStats &st = t.stats;
+                 a.obj(st.committed, st.committedMem, st.memStallCycles,
+                       st.branches, st.condBranches, st.mispredicts,
+                       st.squashedInsts, st.squashCycles, st.replays,
+                       st.wrongPathFetched, st.itlbMisses, st.dtlbMisses);
+             });
 
-    get_uid_list(decodeQApp_);
-    get_uid_list(decodeQProto_);
-    get_uid_list(renameQApp_);
-    get_uid_list(renameQProto_);
+    uids(decodeQApp_);
+    uids(decodeQProto_);
+    uids(renameQApp_);
+    uids(renameQProto_);
 
     for (std::uint8_t &r : intReady_)
-        r = in.u8();
+        ar.u8(r);
     for (std::uint8_t &r : fpReady_)
-        r = in.u8();
-    std::uint64_t nif = in.count(2);
-    if (nif > params_.intRegs) {
-        in.fail("corrupt snapshot: free-list overflow");
-        return;
-    }
-    intFree_.clear();
-    for (std::uint64_t i = 0; in.ok() && i < nif; ++i)
-        intFree_.push_back(in.u16());
-    std::uint64_t nff = in.count(2);
-    if (nff > params_.fpRegs) {
-        in.fail("corrupt snapshot: free-list overflow");
-        return;
-    }
-    fpFree_.clear();
-    for (std::uint64_t i = 0; in.ok() && i < nff; ++i)
-        fpFree_.push_back(in.u16());
+        ar.u8(r);
+    auto reg = [](Ar &a, std::uint16_t &r) { a.u16(r); };
+    ar.seq(intFree_, 2, reg, params_.intRegs,
+           "corrupt snapshot: free-list overflow");
+    ar.seq(fpFree_, 2, reg, params_.fpRegs,
+           "corrupt snapshot: free-list overflow");
     for (ThreadId &o : intOwner_)
-        o = in.u8();
+        ar.u8(o);
 
-    if (in.u64() != chkpts_.size()) {
-        in.fail("corrupt snapshot: branch-stack size mismatch");
-        return;
+    ar.fixed(chkpts_, "corrupt snapshot: branch-stack size mismatch",
+             [](Ar &a, Checkpoint &ck) {
+                 a.b(ck.valid);
+                 a.u8(ck.tid);
+                 a.u64(ck.seq);
+                 for (std::uint16_t &m : ck.map)
+                     a.u16(m);
+                 a.u32(ck.ras.top);
+                 a.u64(ck.ras.tosValue);
+             });
+
+    uids(intQ_);
+    uids(fpQ_);
+
+    ar.seq(storeBuffer_, 10,
+           [](Ar &a, SbEntry &e) {
+               a.u64(e.addr);
+               a.u8(e.tid);
+               a.b(e.protocolSpace);
+           },
+           params_.storeBuffer, "corrupt snapshot: store buffer overflow");
+    ar.b(sbDrainBusy_);
+    ar.b(sbProtoDrainBusy_);
+
+    for (Tlb *tlb : {&itlb_, &dtlb_}) {
+        ar.seq(tlb->entries, 16,
+               [](Ar &a, std::pair<Addr, std::uint64_t> &e) {
+                   a.u64(e.first);
+                   a.u64(e.second);
+               },
+               tlb->cap, "corrupt snapshot: TLB overflow");
+        ar.u64(tlb->stamp);
+        ar.obj(tlb->misses);
     }
-    for (Checkpoint &ck : chkpts_) {
-        ck.valid = in.bl();
-        ck.tid = in.u8();
-        ck.seq = in.u64();
-        for (std::uint16_t &m : ck.map)
-            m = in.u16();
-        ck.ras.top = in.u32();
-        ck.ras.tosValue = in.u64();
-    }
 
-    get_uid_list(intQ_);
-    get_uid_list(fpQ_);
-
-    std::uint64_t nsb = in.count(10);
-    if (nsb > params_.storeBuffer) {
-        in.fail("corrupt snapshot: store buffer overflow");
-        return;
-    }
-    storeBuffer_.clear();
-    for (std::uint64_t i = 0; in.ok() && i < nsb; ++i) {
-        SbEntry e;
-        e.addr = in.u64();
-        e.tid = in.u8();
-        e.protocolSpace = in.bl();
-        storeBuffer_.push_back(e);
-    }
-    sbDrainBusy_ = in.bl();
-    sbProtoDrainBusy_ = in.bl();
-
-    auto get_tlb = [&](Tlb &tlb) {
-        std::uint64_t n = in.count(16);
-        if (n > tlb.cap) {
-            in.fail("corrupt snapshot: TLB overflow");
-            return;
-        }
-        tlb.entries.clear();
-        for (std::uint64_t i = 0; in.ok() && i < n; ++i) {
-            Addr page = in.u64();
-            std::uint64_t stamp = in.u64();
-            tlb.entries.emplace_back(page, stamp);
-        }
-        tlb.stamp = in.u64();
-        tlb.misses.restoreState(in);
-    };
-    get_tlb(itlb_);
-    get_tlb(dtlb_);
-
-    bpred_.restoreState(in);
-
-    protoOccupancy.branchStack.restoreState(in);
-    protoOccupancy.intRegs.restoreState(in);
-    protoOccupancy.intQueue.restoreState(in);
-    protoOccupancy.lsq.restoreState(in);
-    cycles.restoreState(in);
-    fetchedInsts.restoreState(in);
+    ar.obj(bpred_, protoOccupancy.branchStack, protoOccupancy.intRegs,
+           protoOccupancy.intQueue, protoOccupancy.lsq, cycles,
+           fetchedInsts);
 }
+
+template void SmtCpu::io(snap::Ser &);
+template void SmtCpu::io(snap::Des &);
 
 SmtCpu::DynInst *
 SmtCpu::resolveUid(std::uint64_t uid) const

@@ -283,8 +283,7 @@ class SmtCpu
         }
     };
 
-    void saveState(snap::Ser &out) const;
-    void restoreState(snap::Des &in);
+    template <class Ar> void io(Ar &ar);
 
     /** Live-instruction lookup during event decode (nullptr if dead). */
     DynInst *resolveUid(std::uint64_t uid) const;

@@ -295,61 +295,22 @@ FaultInjector::forceNak(NodeId node)
 
 // ---- Snapshot support ---------------------------------------------------
 
+template <class Ar>
 void
-FaultInjector::Slice::saveState(snap::Ser &out) const
+FaultInjector::io(Ar &ar)
 {
-    netRng.saveState(out);
-    memRng.saveState(out);
-    protoRng.saveState(out);
-    netDrops.saveState(out);
-    netDups.saveState(out);
-    netDupsFiltered.saveState(out);
-    netDelays.saveState(out);
-    netReorders.saveState(out);
-    netLost.saveState(out);
-    eccCorrected.saveState(out);
-    eccDetected.saveState(out);
-    eccScrubs.saveState(out);
-    eccRefetches.saveState(out);
-    naksForced.saveState(out);
+    ar.fixed(slices_,
+             "corrupt snapshot: fault injector slice count mismatch",
+             [](Ar &a, Slice &s) {
+                 a.obj(s.netRng, s.memRng, s.protoRng, s.netDrops,
+                       s.netDups, s.netDupsFiltered, s.netDelays,
+                       s.netReorders, s.netLost, s.eccCorrected,
+                       s.eccDetected, s.eccScrubs, s.eccRefetches,
+                       s.naksForced);
+             });
 }
 
-void
-FaultInjector::Slice::restoreState(snap::Des &in)
-{
-    netRng.restoreState(in);
-    memRng.restoreState(in);
-    protoRng.restoreState(in);
-    netDrops.restoreState(in);
-    netDups.restoreState(in);
-    netDupsFiltered.restoreState(in);
-    netDelays.restoreState(in);
-    netReorders.restoreState(in);
-    netLost.restoreState(in);
-    eccCorrected.restoreState(in);
-    eccDetected.restoreState(in);
-    eccScrubs.restoreState(in);
-    eccRefetches.restoreState(in);
-    naksForced.restoreState(in);
-}
-
-void
-FaultInjector::saveState(snap::Ser &out) const
-{
-    out.u64(slices_.size());
-    for (const Slice &s : slices_)
-        s.saveState(out);
-}
-
-void
-FaultInjector::restoreState(snap::Des &in)
-{
-    if (in.u64() != slices_.size()) {
-        in.fail("corrupt snapshot: fault injector slice count mismatch");
-        return;
-    }
-    for (Slice &s : slices_)
-        s.restoreState(in);
-}
+template void FaultInjector::io(snap::Ser &);
+template void FaultInjector::io(snap::Des &);
 
 } // namespace smtp::fault

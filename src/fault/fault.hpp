@@ -201,9 +201,6 @@ class FaultInjector
         Counter naksForced;      ///< Dispatches turned into RplNak.
 
         trace::TraceBuffer *trace = nullptr;
-
-        void saveState(snap::Ser &out) const;
-        void restoreState(snap::Des &in);
     };
 
     Slice &slice(unsigned n) { return slices_[n]; }
@@ -293,8 +290,7 @@ class FaultInjector
     // config hash); only the RNG stream positions and the counters are
     // dynamic state. The injector schedules no events of its own.
 
-    void saveState(snap::Ser &out) const;
-    void restoreState(snap::Des &in);
+    template <class Ar> void io(Ar &ar);
 
   private:
     std::uint64_t

@@ -128,44 +128,34 @@ Machine::saveSections(snap::SnapWriter &w) const
     }
     if (workloadState_ != nullptr)
         w.section("workload", *workloadState_);
+    auto save = [&w](const std::string &name, auto &component) {
+        component.io(w.beginSection(name));
+        w.endSection();
+    };
     for (unsigned n = 0; n < nodes_.size(); ++n) {
         const Node &node = *nodes_[n];
-        node.cpu->saveState(w.beginSection(nodeSection(n, "cpu")));
-        w.endSection();
-        node.mc->saveState(w.beginSection(nodeSection(n, "mc")));
-        w.endSection();
-        node.cache->saveState(w.beginSection(nodeSection(n, "cache")));
-        w.endSection();
-        if (node.pengine) {
-            node.pengine->saveState(w.beginSection(nodeSection(n, "pe")));
-            w.endSection();
-        }
-        if (node.pthread) {
-            node.pthread->saveState(w.beginSection(nodeSection(n, "pt")));
-            w.endSection();
-        }
+        save(nodeSection(n, "cpu"), *node.cpu);
+        save(nodeSection(n, "mc"), *node.mc);
+        save(nodeSection(n, "cache"), *node.cache);
+        if (node.pengine)
+            save(nodeSection(n, "pe"), *node.pengine);
+        if (node.pthread)
+            save(nodeSection(n, "pt"), *node.pthread);
     }
-    net_->saveState(w.beginSection("net"));
-    w.endSection();
-    if (faults_) {
-        faults_->saveState(w.beginSection("faults"));
-        w.endSection();
-    }
-    if (traceMgr_) {
-        traceMgr_->saveState(w.beginSection("trace"));
-        w.endSection();
-    }
+    save("net", *net_);
+    if (faults_)
+        save("faults", *faults_);
+    if (traceMgr_)
+        save("trace", *traceMgr_);
     // Shard bookkeeping (sequence counters + any mailboxed events from
     // a mid-window runUntil stop), then every shard's queue. One
     // section per queue: entries decode independently and positional
-    // section names catch shard-count mismatches early.
-    shards_.saveState(w.beginSection("shards"));
-    w.endSection();
-    for (unsigned s = 0; s < shards_.count(); ++s) {
-        shards_.queue(s).saveState(w.beginSection(
-            "shard" + std::to_string(s) + ".eventq"));
-        w.endSection();
-    }
+    // section names catch shard-count mismatches early. Saving only
+    // reads through io(), so the shards may be cast mutable here.
+    auto &shards = const_cast<ShardSet &>(shards_);
+    save("shards", shards);
+    for (unsigned s = 0; s < shards.count(); ++s)
+        save("shard" + std::to_string(s) + ".eventq", shards.queue(s));
 }
 
 bool
@@ -274,60 +264,39 @@ Machine::restoreFrom(const snap::SnapReader &r, std::string *err)
                     "delegate is attached");
     }
 
+    // Every section decodes its pending callbacks through this codec,
+    // closed over the freshly constructed component graph.
     snap::EventCodec codec = buildEventCodec();
+    auto load = [&](const std::string &name, auto &component) {
+        snap::Des in = r.section(name);
+        in.setCodec(&codec);
+        component.io(in);
+        return in.ok() || sectionFail(name, in);
+    };
 
     for (unsigned n = 0; n < nodes_.size(); ++n) {
-        std::string name = nodeSection(n, "cpu");
-        snap::Des in = r.section(name);
-        nodes_[n]->cpu->restoreState(in);
-        if (!in.ok())
-            return sectionFail(name, in);
+        if (!load(nodeSection(n, "cpu"), *nodes_[n]->cpu))
+            return false;
     }
     for (unsigned n = 0; n < nodes_.size(); ++n) {
-        std::string name = nodeSection(n, "mc");
-        snap::Des in = r.section(name);
-        nodes_[n]->mc->restoreState(in, codec);
-        if (!in.ok())
-            return sectionFail(name, in);
+        if (!load(nodeSection(n, "mc"), *nodes_[n]->mc))
+            return false;
     }
     for (unsigned n = 0; n < nodes_.size(); ++n) {
-        std::string name = nodeSection(n, "cache");
-        snap::Des in = r.section(name);
-        nodes_[n]->cache->restoreState(in, codec);
-        if (!in.ok())
-            return sectionFail(name, in);
+        if (!load(nodeSection(n, "cache"), *nodes_[n]->cache))
+            return false;
     }
     for (unsigned n = 0; n < nodes_.size(); ++n) {
         Node &node = *nodes_[n];
-        if (node.pengine) {
-            std::string name = nodeSection(n, "pe");
-            snap::Des in = r.section(name);
-            node.pengine->restoreState(in);
-            if (!in.ok())
-                return sectionFail(name, in);
-        }
-        if (node.pthread) {
-            std::string name = nodeSection(n, "pt");
-            snap::Des in = r.section(name);
-            node.pthread->restoreState(in);
-            if (!in.ok())
-                return sectionFail(name, in);
-        }
+        if (node.pengine && !load(nodeSection(n, "pe"), *node.pengine))
+            return false;
+        if (node.pthread && !load(nodeSection(n, "pt"), *node.pthread))
+            return false;
     }
-
-    {
-        snap::Des in = r.section("net");
-        net_->restoreState(in);
-        if (!in.ok())
-            return sectionFail("net", in);
-    }
-
-    if (faults_) {
-        snap::Des in = r.section("faults");
-        faults_->restoreState(in);
-        if (!in.ok())
-            return sectionFail("faults", in);
-    }
+    if (!load("net", *net_))
+        return false;
+    if (faults_ && !load("faults", *faults_))
+        return false;
 
     // Trace config is observation-only (outside the config hash), but a
     // resumed *traced* run can only match its uninterrupted twin if the
@@ -338,24 +307,16 @@ Machine::restoreFrom(const snap::SnapReader &r, std::string *err)
                         "trace section: take the snapshot with tracing "
                         "on, or restore with tracing off");
         }
-        snap::Des in = r.section("trace");
-        traceMgr_->restoreState(in);
-        if (!in.ok())
-            return sectionFail("trace", in);
+        if (!load("trace", *traceMgr_))
+            return false;
     }
 
-    {
-        snap::Des in = r.section("shards");
-        shards_.restoreState(in, codec);
-        if (!in.ok())
-            return sectionFail("shards", in);
-    }
+    if (!load("shards", shards_))
+        return false;
     for (unsigned s = 0; s < shards_.count(); ++s) {
-        std::string name = "shard" + std::to_string(s) + ".eventq";
-        snap::Des in = r.section(name);
-        shards_.queue(s).restoreState(in, codec);
-        if (!in.ok())
-            return sectionFail(name, in);
+        if (!load("shard" + std::to_string(s) + ".eventq",
+                  shards_.queue(s)))
+            return false;
     }
     return true;
 }

@@ -732,180 +732,70 @@ MemController::probeResult()
 
 // ---- Snapshot support --------------------------------------------------
 
-namespace
-{
-
+template <class Ar>
 void
-putMsgQueue(snap::Ser &out, const FixedQueue<Message> &q)
+MemController::io(Ar &ar)
 {
-    out.u64(q.size());
-    for (const auto &m : q)
-        proto::snapPut(out, m);
-}
+    ar.obj(ram_, sdram_, executor_, rng_);
 
-void
-getMsgQueue(snap::Des &in, FixedQueue<Message> &q)
-{
-    q.clear();
-    std::uint64_t n = in.count(8);
-    if (in.ok() && n > q.capacity()) {
-        in.fail("corrupt snapshot: queue occupancy exceeds capacity");
-        return;
-    }
-    for (std::uint64_t i = 0; in.ok() && i < n; ++i)
-        q.push(proto::snapGetMessage(in));
-}
-
-} // namespace
-
-void
-MemController::saveState(snap::Ser &out) const
-{
-    ram_.saveState(out);
-    sdram_.saveState(out);
-    executor_.saveState(out);
-    rng_.saveState(out);
-
-    putMsgQueue(out, lmiQ_);
-    for (const auto &q : niInQ_)
-        putMsgQueue(out, q);
-    for (const auto &q : niOutQ_)
-        putMsgQueue(out, q);
-    out.seq(niOutOverflow_, [](snap::Ser &s, const Message &m) {
-        proto::snapPut(s, m);
-    });
-    out.seq(deferQ_,
-            [](snap::Ser &s, const std::pair<Tick, Message> &e) {
-                s.u64(e.first);
-                proto::snapPut(s, e.second);
-            });
-    out.u32(rrSource_);
-
-    std::vector<std::uint64_t> ids;
-    ids.reserve(ctxs_.size());
-    for (const auto &[id, ctx] : ctxs_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    out.u64(ids.size());
-    for (std::uint64_t id : ids) {
-        const TransactionCtx &c = *ctxs_.at(id);
-        out.u64(c.id);
-        proto::snapPut(out, c.msg);
-        proto::snapPut(out, c.trace);
-        out.u64(c.dispatchTick);
-        out.u64(c.probeReady);
-        out.u64(c.probeBits);
-        out.b(c.memReadStarted);
-        out.b(c.memDone);
-        out.u64(c.memWaiters.size());
-        for (const auto &fn : c.memWaiters)
-            snap::EventCodec::encode(out, fn);
-        out.b(c.finished);
-    }
-    out.u64(nextCtxId_);
-    out.u32(inFlight_);
-    out.u32(pendingDelayedSends_);
-    out.u32(pendingLocalDeliveries_);
-    out.b(dispatchPollScheduled_);
-    out.b(niOutDrainScheduled_);
-
-    for (Tick t : mshrReady_)
-        out.u64(t);
-    for (std::uint32_t p : mshrPhase_)
-        out.u32(p);
-    for (std::uint32_t b : phaseBypass_)
-        out.u32(b);
-
-    handlersDispatched.saveState(out);
-    msgsFromLmi.saveState(out);
-    msgsFromNet.saveState(out);
-    probesDeferred.saveState(out);
-    naksSent.saveState(out);
-    starvationFlags.saveState(out);
-    invalsSent.saveState(out);
-    phaseFloorTrips.saveState(out);
-    lmiOccupancy.saveState(out);
-    handlerLatency.saveState(out);
-    reqQueueDelay.saveState(out);
-    out.u64(tryDispatchCalls);
-    out.u64(lastTryDispatch);
-    out.u64(lastLmiEnqueue);
-}
-
-void
-MemController::restoreState(snap::Des &in, const snap::EventCodec &codec)
-{
-    ram_.restoreState(in);
-    sdram_.restoreState(in);
-    executor_.restoreState(in);
-    rng_.restoreState(in);
-
-    getMsgQueue(in, lmiQ_);
+    auto msg = [](Ar &a, Message &m) { a.obj(m); };
+    auto queue = [&](FixedQueue<Message> &q) {
+        ar.seq(q, 8, msg, q.capacity(),
+               "corrupt snapshot: queue occupancy exceeds capacity");
+    };
+    queue(lmiQ_);
     for (auto &q : niInQ_)
-        getMsgQueue(in, q);
+        queue(q);
     for (auto &q : niOutQ_)
-        getMsgQueue(in, q);
-    niOutOverflow_.clear();
-    std::uint64_t novf = in.count(8);
-    for (std::uint64_t i = 0; in.ok() && i < novf; ++i)
-        niOutOverflow_.push_back(proto::snapGetMessage(in));
-    deferQ_.clear();
-    std::uint64_t ndef = in.count(16);
-    for (std::uint64_t i = 0; in.ok() && i < ndef; ++i) {
-        Tick t = in.u64();
-        deferQ_.emplace_back(t, proto::snapGetMessage(in));
-    }
-    rrSource_ = in.u32();
+        queue(q);
+    ar.seq(niOutOverflow_, 8, msg);
+    ar.seq(deferQ_, 16, [](Ar &a, std::pair<Tick, Message> &e) {
+        a.u64(e.first);
+        a.obj(e.second);
+    });
+    ar.u32(rrSource_);
 
-    ctxs_.clear();
-    std::uint64_t nctx = in.count(32);
-    for (std::uint64_t i = 0; in.ok() && i < nctx; ++i) {
-        auto ctx = std::make_shared<TransactionCtx>();
-        ctx->id = in.u64();
-        ctx->msg = proto::snapGetMessage(in);
-        ctx->trace = proto::snapGetTrace(in);
-        ctx->dispatchTick = in.u64();
-        ctx->probeReady = in.u64();
-        ctx->probeBits = in.u64();
-        ctx->memReadStarted = in.bl();
-        ctx->memDone = in.bl();
-        std::uint64_t nw = in.count(4);
-        ctx->memWaiters.reserve(nw);
-        for (std::uint64_t w = 0; in.ok() && w < nw; ++w)
-            ctx->memWaiters.push_back(codec.decode(in));
-        ctx->finished = in.bl();
-        if (in.ok())
-            ctxs_[ctx->id] = std::move(ctx);
-    }
-    nextCtxId_ = in.u64();
-    inFlight_ = in.u32();
-    pendingDelayedSends_ = in.u32();
-    pendingLocalDeliveries_ = in.u32();
-    dispatchPollScheduled_ = in.bl();
-    niOutDrainScheduled_ = in.bl();
+    ar.sortedMap(ctxs_, 32,
+                 [](Ar &a, std::uint64_t id,
+                    std::shared_ptr<TransactionCtx> &c) {
+                     if constexpr (Ar::loading) {
+                         c = std::make_shared<TransactionCtx>();
+                         c->id = id;
+                     }
+                     a.obj(c->msg, c->trace);
+                     a.u64(c->dispatchTick);
+                     a.u64(c->probeReady);
+                     a.u64(c->probeBits);
+                     a.b(c->memReadStarted);
+                     a.b(c->memDone);
+                     a.seq(c->memWaiters, 4,
+                           [](Ar &a2, InlineCallback &cb) { a2.cb(cb); });
+                     a.b(c->finished);
+                 });
+    ar.u64(nextCtxId_);
+    ar.u32(inFlight_);
+    ar.u32(pendingDelayedSends_);
+    ar.u32(pendingLocalDeliveries_);
+    ar.b(dispatchPollScheduled_);
+    ar.b(niOutDrainScheduled_);
 
     for (Tick &t : mshrReady_)
-        t = in.u64();
+        ar.u64(t);
     for (std::uint32_t &p : mshrPhase_)
-        p = in.u32();
+        ar.u32(p);
     for (std::uint32_t &b : phaseBypass_)
-        b = in.u32();
+        ar.u32(b);
 
-    handlersDispatched.restoreState(in);
-    msgsFromLmi.restoreState(in);
-    msgsFromNet.restoreState(in);
-    probesDeferred.restoreState(in);
-    naksSent.restoreState(in);
-    starvationFlags.restoreState(in);
-    invalsSent.restoreState(in);
-    phaseFloorTrips.restoreState(in);
-    lmiOccupancy.restoreState(in);
-    handlerLatency.restoreState(in);
-    reqQueueDelay.restoreState(in);
-    tryDispatchCalls = in.u64();
-    lastTryDispatch = in.u64();
-    lastLmiEnqueue = in.u64();
+    ar.obj(handlersDispatched, msgsFromLmi, msgsFromNet, probesDeferred,
+           naksSent, starvationFlags, invalsSent, phaseFloorTrips,
+           lmiOccupancy, handlerLatency, reqQueueDelay);
+    ar.u64(tryDispatchCalls);
+    ar.u64(lastTryDispatch);
+    ar.u64(lastLmiEnqueue);
 }
+
+template void MemController::io(snap::Ser &);
+template void MemController::io(snap::Des &);
 
 void
 MemController::registerSnapEvents(
@@ -943,7 +833,8 @@ MemController::registerSnapEvents(
     codec.add(snap::evMcDeliverLocal,
               [mc_of](snap::Des &in) -> EventQueue::Callback {
                   MemController *mc = mc_of(in);
-                  Message m = proto::snapGetMessage(in);
+                  Message m;
+                  in.obj(m);
                   if (!mc)
                       return {};
                   return DeliverLocalEv{mc, m};
@@ -951,7 +842,8 @@ MemController::registerSnapEvents(
     codec.add(snap::evMcNetDeliver,
               [mc_of](snap::Des &in) -> EventQueue::Callback {
                   MemController *mc = mc_of(in);
-                  Message m = proto::snapGetMessage(in);
+                  Message m;
+                  in.obj(m);
                   if (!mc)
                       return {};
                   return NetDeliverEv{mc, m};
@@ -975,8 +867,9 @@ MemController::registerSnapEvents(
               [mc_of](snap::Des &in) -> EventQueue::Callback {
                   MemController *mc = mc_of(in);
                   std::uint8_t kind = in.u8();
-                  Message m = proto::snapGetMessage(in);
-                  bool delayed = in.bl();
+                  Message m;
+                  in.obj(m);
+                  bool delayed = in.b();
                   if (!mc || kind > 3) {
                       in.fail("corrupt snapshot: pending-send kind");
                       return {};
@@ -984,11 +877,12 @@ MemController::registerSnapEvents(
                   return PendingSendEv{mc, kind, m, delayed};
               });
     codec.add(snap::evMcBypassDone,
-              [mc_of, &codec](snap::Des &in) -> EventQueue::Callback {
+              [mc_of](snap::Des &in) -> EventQueue::Callback {
                   MemController *mc = mc_of(in);
                   Addr a = in.u64();
-                  bool write = in.bl();
-                  EventQueue::Callback done = codec.decode(in);
+                  bool write = in.b();
+                  EventQueue::Callback done;
+                  in.cb(done);
                   if (!mc)
                       return {};
                   return BypassBusEv{mc, a, write, std::move(done)};

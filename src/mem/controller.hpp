@@ -201,7 +201,7 @@ class MemController : public proto::ExecEnv
         snapEncode(snap::Ser &s) const
         {
             s.u16(mc->self_);
-            proto::snapPut(s, msg);
+            s.obj(msg);
         }
     };
 
@@ -218,7 +218,7 @@ class MemController : public proto::ExecEnv
         snapEncode(snap::Ser &s) const
         {
             s.u16(mc->self_);
-            proto::snapPut(s, msg);
+            s.obj(msg);
         }
     };
 
@@ -275,7 +275,7 @@ class MemController : public proto::ExecEnv
         {
             s.u16(mc->self_);
             s.u8(kind);
-            proto::snapPut(s, msg);
+            s.obj(msg);
             s.b(delayed);
         }
     };
@@ -301,12 +301,11 @@ class MemController : public proto::ExecEnv
             s.u16(mc->self_);
             s.u64(addr);
             s.b(write);
-            snap::EventCodec::encode(s, done);
+            s.cb(done);
         }
     };
 
-    void saveState(snap::Ser &out) const;
-    void restoreState(snap::Des &in, const snap::EventCodec &codec);
+    template <class Ar> void io(Ar &ar);
     static void
     registerSnapEvents(snap::EventCodec &codec,
                        std::function<MemController *(NodeId)> resolve);

@@ -67,8 +67,7 @@ class ProtocolRam
     /** Number of resident (non-zero) 8-byte words, for tests. */
     std::size_t residentWords() const { return words_.size(); }
 
-    void saveState(snap::Ser &out) const { out.wordMap(words_); }
-    void restoreState(snap::Des &in) { in.wordMap(words_); }
+    template <class Ar> void io(Ar &ar) { ar.wordMap(words_); }
 
   private:
     std::unordered_map<Addr, std::uint64_t> words_;

@@ -103,24 +103,12 @@ class Sdram
         node_ = node;
     }
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(deviceFree_);
-        reads.saveState(out);
-        writes.saveState(out);
-        busyTicks.saveState(out);
-        queueDelay.saveState(out);
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        deviceFree_ = in.u64();
-        reads.restoreState(in);
-        writes.restoreState(in);
-        busyTicks.restoreState(in);
-        queueDelay.restoreState(in);
+        ar.u64(deviceFree_);
+        ar.obj(reads, writes, busyTicks, queueDelay);
     }
 
     Counter reads, writes;

@@ -325,94 +325,52 @@ Network::hopDist() const
     return d;
 }
 
+template <class Ar>
 void
-Network::saveState(snap::Ser &out) const
+Network::io(Ar &ar)
 {
-    auto putLink = [](snap::Ser &s, const Link &l) {
-        s.u64(l.busyUntil);
-        s.u64(l.lastArrival);
-        s.u64(l.msgs.value());
+    auto links = [&](std::vector<Link> &v) {
+        ar.fixed(v, "snapshot link count does not match topology",
+                 [](Ar &a, Link &l) {
+                     a.u64(l.busyUntil);
+                     a.u64(l.lastArrival);
+                     a.obj(l.msgs);
+                 });
     };
-    out.seq(links_, putLink);
-    out.seq(nodeLinksIn_, putLink);
-    out.seq(nodeLinksOut_, putLink);
-    out.seq(landing_, [](snap::Ser &s, const std::deque<proto::Message> &q) {
-        s.seq(q, [](snap::Ser &s2, const proto::Message &m) {
-            proto::snapPut(s2, m);
-        });
-    });
-    out.seq(retryScheduled_,
-            [](snap::Ser &s, bool v) { s.b(v); });
-    out.u64(slices_.size());
-    for (const Slice &s : slices_) {
-        out.u64(static_cast<std::uint64_t>(s.flightDelta));
-        out.u32(s.nextTraceId);
-        out.u64(s.lost);
-        s.msgsInjected.saveState(out);
-        s.bytesInjected.saveState(out);
-        s.hopDist.saveState(out);
-    }
+    links(links_);
+    links(nodeLinksIn_);
+    links(nodeLinksOut_);
+    ar.fixed(landing_,
+             "snapshot landing-buffer count does not match topology",
+             [](Ar &a, std::deque<proto::Message> &q) {
+                 a.seq(q, 22, [](Ar &a2, proto::Message &m) { a2.obj(m); });
+             });
+    ar.fixed(retryScheduled_,
+             "snapshot retry-flag count does not match topology",
+             [](Ar &a, std::uint8_t &v) { a.b(v); });
+    ar.fixed(slices_, "snapshot network shard count does not match machine",
+             [](Ar &a, Slice &s) {
+                 a.u64(s.flightDelta);
+                 a.u32(s.nextTraceId);
+                 a.u64(s.lost);
+                 a.obj(s.msgsInjected, s.bytesInjected, s.hopDist);
+             });
 }
 
-void
-Network::restoreState(snap::Des &in)
-{
-    auto getLinks = [&](std::vector<Link> &links) {
-        std::uint64_t n = in.count(24);
-        if (in.ok() && n != links.size()) {
-            in.fail("snapshot link count does not match topology");
-            return;
-        }
-        for (auto &l : links) {
-            l.busyUntil = in.u64();
-            l.lastArrival = in.u64();
-            l.msgs.reset();
-            l.msgs += in.u64();
-        }
-    };
-    getLinks(links_);
-    getLinks(nodeLinksIn_);
-    getLinks(nodeLinksOut_);
-    std::uint64_t nq = in.count(8);
-    if (in.ok() && nq != landing_.size()) {
-        in.fail("snapshot landing-buffer count does not match topology");
-        return;
-    }
-    for (auto &q : landing_) {
-        q.clear();
-        std::uint64_t n = in.count(22);
-        for (std::uint64_t i = 0; i < n && in.ok(); ++i)
-            q.push_back(proto::snapGetMessage(in));
-    }
-    std::uint64_t nr = in.count(1);
-    if (in.ok() && nr != retryScheduled_.size()) {
-        in.fail("snapshot retry-flag count does not match topology");
-        return;
-    }
-    for (std::size_t i = 0; i < retryScheduled_.size(); ++i)
-        retryScheduled_[i] = in.bl();
-    if (in.u64() != slices_.size()) {
-        in.fail("snapshot network shard count does not match machine");
-        return;
-    }
-    for (Slice &s : slices_) {
-        s.flightDelta = static_cast<std::int64_t>(in.u64());
-        s.nextTraceId = in.u32();
-        s.lost = in.u64();
-        s.msgsInjected.restoreState(in);
-        s.bytesInjected.restoreState(in);
-        s.hopDist.restoreState(in);
-    }
-}
+template void Network::io(snap::Ser &);
+template void Network::io(snap::Des &);
 
 void
 Network::registerSnapEvents(snap::EventCodec &codec)
 {
     codec.add(snap::evNetLand, [this](snap::Des &d) {
-        return EventQueue::Callback(LandEv{this, proto::snapGetMessage(d)});
+        proto::Message m;
+        d.obj(m);
+        return EventQueue::Callback(LandEv{this, m});
     });
     codec.add(snap::evNetHop, [this](snap::Des &d) {
-        proto::Message m = proto::snapGetMessage(d);
+        proto::Message m;
+        d.obj(m);
         unsigned router = d.u32();
         return EventQueue::Callback(HopEv{this, m, router});
     });

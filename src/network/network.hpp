@@ -161,7 +161,7 @@ class Network
 
         void operator()() const { net->land(m); }
 
-        void snapEncode(snap::Ser &s) const { proto::snapPut(s, m); }
+        void snapEncode(snap::Ser &s) const { s.obj(m); }
     };
 
     /** Head arrival at an intermediate router. */
@@ -177,7 +177,7 @@ class Network
         void
         snapEncode(snap::Ser &s) const
         {
-            proto::snapPut(s, m);
+            s.obj(m);
             s.u32(router);
         }
     };
@@ -207,8 +207,7 @@ class Network
         }
     };
 
-    void saveState(snap::Ser &out) const;
-    void restoreState(snap::Des &in);
+    template <class Ar> void io(Ar &ar);
     void registerSnapEvents(snap::EventCodec &codec);
 
     // ---- Stats (per-shard slices, merged on read) ---------------------

@@ -169,55 +169,28 @@ class PEngine : public ProtocolAgent
         }
     };
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(ctx_ != nullptr ? ctx_->id : 0);
-        out.u64(idx_);
-        out.u64(startTick_);
-        out.u64(time_);
-        out.b(slotFree_);
-        out.b(lastWasMem_);
-        out.u64(busyTicks_);
-        dcache_.saveState(out);
-        icache_.saveState(out);
-        instructions.saveState(out);
-        pairedIssues.saveState(out);
-        dcacheHits.saveState(out);
-        dcacheMisses.saveState(out);
-        dcacheWritebacks.saveState(out);
-        icacheMisses.saveState(out);
-        handlers.saveState(out);
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        std::uint64_t ctx_id = in.u64();
-        ctx_ = nullptr;
-        if (ctx_id != 0) {
-            ctx_ = mc_->ctxById(ctx_id);
-            if (ctx_ == nullptr) {
-                in.fail("corrupt snapshot: protocol engine references "
+        std::uint64_t ctx_id = ctx_ != nullptr ? ctx_->id : 0;
+        ar.u64(ctx_id);
+        if constexpr (Ar::loading) {
+            ctx_ = ctx_id != 0 ? mc_->ctxById(ctx_id) : nullptr;
+            if (ctx_id != 0 && ctx_ == nullptr) {
+                ar.fail("corrupt snapshot: protocol engine references "
                         "an unknown transaction");
                 return;
             }
         }
-        idx_ = in.u64();
-        startTick_ = in.u64();
-        time_ = in.u64();
-        slotFree_ = in.bl();
-        lastWasMem_ = in.bl();
-        busyTicks_ = in.u64();
-        dcache_.restoreState(in);
-        icache_.restoreState(in);
-        instructions.restoreState(in);
-        pairedIssues.restoreState(in);
-        dcacheHits.restoreState(in);
-        dcacheMisses.restoreState(in);
-        dcacheWritebacks.restoreState(in);
-        icacheMisses.restoreState(in);
-        handlers.restoreState(in);
+        ar.u64(idx_);
+        ar.u64(startTick_);
+        ar.u64(time_);
+        ar.b(slotFree_);
+        ar.b(lastWasMem_);
+        ar.u64(busyTicks_);
+        ar.obj(dcache_, icache_, instructions, pairedIssues, dcacheHits,
+               dcacheMisses, dcacheWritebacks, icacheMisses, handlers);
     }
 
     static void

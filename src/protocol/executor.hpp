@@ -66,6 +66,18 @@ struct SendRec
     DataSrc dataSrc;
     SendTarget target;
     bool delayed;       ///< NAK-retry backoff requested by the handler.
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.obj(msg);
+        ar.u8(dataSrc, DataSrc::Buffer,
+              "corrupt snapshot: send record out of range");
+        ar.u8(target, SendTarget::MemWrite,
+              "corrupt snapshot: send record out of range");
+        ar.b(delayed);
+    }
 };
 
 /** One dynamically executed protocol instruction. */
@@ -76,119 +88,36 @@ struct ExecInst
     Addr memAddr = invalidAddr; ///< Effective address for Ld/St.
     bool branchTaken = false;
     std::int32_t sendIdx = -1;  ///< Into HandlerTrace::sends for SendG.
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u32(pc);
+        ar.obj(inst);
+        ar.u64(memAddr);
+        ar.b(branchTaken);
+        ar.u32(sendIdx);
+    }
 };
 
+/** The dynamic trace of one handler; in-flight ones survive checkpoints. */
 struct HandlerTrace
 {
     std::vector<ExecInst> insts;
     std::vector<SendRec> sends;
     bool usedProbe = false;
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        auto each = [](Ar &a, auto &e) { e.io(a); };
+        ar.seq(insts, 20, each);
+        ar.seq(sends, 8, each);
+        ar.b(usedProbe);
+    }
 };
-
-// ---- Snapshot codecs (in-flight handler traces survive checkpoints) ----
-
-inline void
-snapPut(snap::Ser &s, const PInst &i)
-{
-    s.u8(static_cast<std::uint8_t>(i.op));
-    s.u8(i.rd);
-    s.u8(i.rs1);
-    s.u8(i.rs2);
-    s.i64(i.imm);
-    s.u8(i.memBytes);
-    s.u8(static_cast<std::uint8_t>(i.sendType));
-    s.u8(static_cast<std::uint8_t>(i.dataSrc));
-    s.u8(static_cast<std::uint8_t>(i.target));
-    s.b(i.toHome);
-    s.b(i.delayed);
-}
-
-inline PInst
-snapGetPInst(snap::Des &d)
-{
-    PInst i;
-    std::uint8_t op = d.u8();
-    if (op > static_cast<std::uint8_t>(POp::Ldprobe)) {
-        d.fail("corrupt snapshot: protocol opcode out of range");
-        return i;
-    }
-    i.op = static_cast<POp>(op);
-    i.rd = d.u8();
-    i.rs1 = d.u8();
-    i.rs2 = d.u8();
-    i.imm = d.i64();
-    i.memBytes = d.u8();
-    std::uint8_t st = d.u8();
-    std::uint8_t ds = d.u8();
-    std::uint8_t tg = d.u8();
-    if (st >= numMsgTypes ||
-        ds > static_cast<std::uint8_t>(DataSrc::Buffer) ||
-        tg > static_cast<std::uint8_t>(SendTarget::MemWrite)) {
-        d.fail("corrupt snapshot: send descriptor out of range");
-        return i;
-    }
-    i.sendType = static_cast<MsgType>(st);
-    i.dataSrc = static_cast<DataSrc>(ds);
-    i.target = static_cast<SendTarget>(tg);
-    i.toHome = d.bl();
-    i.delayed = d.bl();
-    return i;
-}
-
-inline void
-snapPut(snap::Ser &s, const HandlerTrace &t)
-{
-    s.seq(t.insts, [](snap::Ser &o, const ExecInst &e) {
-        o.u32(e.pc);
-        snapPut(o, e.inst);
-        o.u64(e.memAddr);
-        o.b(e.branchTaken);
-        o.i32(e.sendIdx);
-    });
-    s.seq(t.sends, [](snap::Ser &o, const SendRec &r) {
-        snapPut(o, r.msg);
-        o.u8(static_cast<std::uint8_t>(r.dataSrc));
-        o.u8(static_cast<std::uint8_t>(r.target));
-        o.b(r.delayed);
-    });
-    s.b(t.usedProbe);
-}
-
-inline HandlerTrace
-snapGetTrace(snap::Des &d)
-{
-    HandlerTrace t;
-    std::uint64_t ni = d.count(20);
-    t.insts.reserve(ni);
-    for (std::uint64_t k = 0; d.ok() && k < ni; ++k) {
-        ExecInst e;
-        e.pc = d.u32();
-        e.inst = snapGetPInst(d);
-        e.memAddr = d.u64();
-        e.branchTaken = d.bl();
-        e.sendIdx = d.i32();
-        t.insts.push_back(e);
-    }
-    std::uint64_t ns = d.count(8);
-    t.sends.reserve(ns);
-    for (std::uint64_t k = 0; d.ok() && k < ns; ++k) {
-        SendRec r;
-        r.msg = snapGetMessage(d);
-        std::uint8_t ds = d.u8();
-        std::uint8_t tg = d.u8();
-        if (ds > static_cast<std::uint8_t>(DataSrc::Buffer) ||
-            tg > static_cast<std::uint8_t>(SendTarget::MemWrite)) {
-            d.fail("corrupt snapshot: send record out of range");
-            return t;
-        }
-        r.dataSrc = static_cast<DataSrc>(ds);
-        r.target = static_cast<SendTarget>(tg);
-        r.delayed = d.bl();
-        t.sends.push_back(r);
-    }
-    t.usedProbe = d.bl();
-    return t;
-}
 
 class Executor
 {
@@ -211,18 +140,12 @@ class Executor
     std::uint64_t reg(unsigned idx) const { return regs_[idx]; }
 
     /** The persistent register file is the executor's only mutable state. */
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
-    {
-        for (std::uint64_t r : regs_)
-            out.u64(r);
-    }
-
-    void
-    restoreState(snap::Des &in)
+    io(Ar &ar)
     {
         for (std::uint64_t &r : regs_)
-            r = in.u64();
+            ar.u64(r);
     }
 
     const HandlerImage &image() const { return *image_; }

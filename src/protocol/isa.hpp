@@ -87,6 +87,26 @@ struct PInst
     SendTarget target = SendTarget::Network;
     bool toHome = false;   ///< Route to home(addr) instead of rs1's node.
     bool delayed = false;  ///< Apply the NAK-retry backoff before sending.
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u8(op, POp::Ldprobe,
+              "corrupt snapshot: protocol opcode out of range");
+        ar.u8(rd);
+        ar.u8(rs1);
+        ar.u8(rs2);
+        ar.u64(imm);
+        ar.u8(memBytes);
+        const char *bad_send =
+            "corrupt snapshot: send descriptor out of range";
+        ar.u8(sendType, numMsgTypes - 1, bad_send);
+        ar.u8(dataSrc, DataSrc::Buffer, bad_send);
+        ar.u8(target, SendTarget::MemWrite, bad_send);
+        ar.b(toHome);
+        ar.b(delayed);
+    }
 };
 
 /** Number of protocol logical registers (all kept mapped; Section 2.2). */

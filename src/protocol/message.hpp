@@ -134,6 +134,27 @@ struct Message
     {
         return flags & flagDataCarried;
     }
+
+    /**
+     * Snapshot encoding, field by field: struct padding never reaches
+     * the file, so snapshots of equal states are byte-equal.
+     */
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u8(type, numMsgTypes - 1,
+              "corrupt snapshot: message type out of range");
+        ar.u64(addr);
+        ar.u16(src);
+        ar.u16(dest);
+        ar.u16(requester);
+        ar.u8(mshr);
+        ar.u16(ackCount);
+        ar.u8(flags);
+        ar.u32(traceId);
+        ar.u32(phase);
+    }
 };
 
 /** Does this message type inherently carry a full coherence line? */
@@ -214,47 +235,6 @@ localPiVariant(MsgType t)
 }
 
 std::string_view msgTypeName(MsgType t);
-
-/**
- * Snapshot encoding, field by field: struct padding never reaches the
- * file, so snapshots of equal states are byte-equal (snap_tool diff).
- */
-inline void
-snapPut(snap::Ser &s, const Message &m)
-{
-    s.u8(static_cast<std::uint8_t>(m.type));
-    s.u64(m.addr);
-    s.u16(m.src);
-    s.u16(m.dest);
-    s.u16(m.requester);
-    s.u8(m.mshr);
-    s.u16(m.ackCount);
-    s.u8(m.flags);
-    s.u32(m.traceId);
-    s.u32(m.phase);
-}
-
-inline Message
-snapGetMessage(snap::Des &d)
-{
-    Message m;
-    std::uint8_t type = d.u8();
-    if (type >= numMsgTypes) {
-        d.fail("corrupt snapshot: message type out of range");
-        return m;
-    }
-    m.type = static_cast<MsgType>(type);
-    m.addr = d.u64();
-    m.src = d.u16();
-    m.dest = d.u16();
-    m.requester = d.u16();
-    m.mshr = d.u8();
-    m.ackCount = d.u16();
-    m.flags = d.u8();
-    m.traceId = d.u32();
-    m.phase = d.u32();
-    return m;
-}
 
 /**
  * Pack the fields the protocol handler reads into the 64-bit header

@@ -112,55 +112,51 @@ class EventQueue
     // same-tick tie-breaking — and therefore the entire event schedule
     // — is bit-identical to the uninterrupted run.
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(curTick_);
-        out.u64(seq_);
-        out.u64(executed_);
-        std::vector<const Entry *> all;
-        all.reserve(size());
-        for (const Entry &e : heap_) {
-            // Watchdog self-events are re-armed by the restoring
-            // machine (when checking is on there), not replayed: they
-            // are pure observers and only exist in debug-checked runs.
-            if (e.cb.snapId() != snap::evWatchdog)
-                all.push_back(&e);
-        }
-        std::sort(all.begin(), all.end(),
-                  [](const Entry *a, const Entry *b) {
-                      return Later{}(*b, *a);
-                  });
-        out.u64(all.size());
-        for (const Entry *e : all) {
-            out.u64(e->when);
-            out.i8(static_cast<std::int8_t>(e->prio));
-            out.u64(e->seq);
-            snap::EventCodec::encode(out, e->cb);
-        }
-    }
-
-    void
-    restoreState(snap::Des &in, const snap::EventCodec &codec)
-    {
-        heap_.clear();
-        curTick_ = in.u64();
-        seq_ = in.u64();
-        executed_ = in.u64();
-        std::uint64_t n = in.count(8 + 1 + 8 + 4);
-        for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-            Entry e;
-            e.when = in.u64();
-            e.prio = static_cast<Priority>(in.i8());
-            e.seq = in.u64();
-            e.cb = codec.decode(in);
-            if (!in.ok())
-                break;
-            if (e.when < curTick_ || e.seq >= seq_) {
-                in.fail("corrupt snapshot: event entry out of range");
-                break;
+        ar.u64(curTick_);
+        ar.u64(seq_);
+        ar.u64(executed_);
+        auto entry = [](Ar &a, Entry &e) {
+            a.u64(e.when);
+            a.i8(e.prio);
+            a.u64(e.seq);
+            a.cb(e.cb);
+        };
+        if constexpr (Ar::loading) {
+            heap_.clear();
+            std::uint64_t n = ar.count(8 + 1 + 8 + 4);
+            for (std::uint64_t i = 0; i < n && ar.ok(); ++i) {
+                Entry e;
+                entry(ar, e);
+                if (!ar.ok())
+                    break;
+                if (e.when < curTick_ || e.seq >= seq_) {
+                    ar.fail("corrupt snapshot: event entry out of range");
+                    break;
+                }
+                heapPush(std::move(e));
             }
-            heapPush(std::move(e));
+        } else {
+            std::vector<Entry *> all;
+            all.reserve(size());
+            for (Entry &e : heap_) {
+                // Watchdog self-events are re-armed by the restoring
+                // machine (when checking is on there), not replayed:
+                // they are pure observers and only exist in
+                // debug-checked runs.
+                if (e.cb.snapId() != snap::evWatchdog)
+                    all.push_back(&e);
+            }
+            std::sort(all.begin(), all.end(),
+                      [](const Entry *a, const Entry *b) {
+                          return Later{}(*b, *a);
+                      });
+            ar.u64(all.size());
+            for (Entry *e : all)
+                entry(ar, *e);
         }
     }
 

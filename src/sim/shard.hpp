@@ -342,48 +342,32 @@ class ShardSet
     // the resumed barrier assigns the same sequence numbers as the
     // uninterrupted one.
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(srcSeq_.size());
-        for (std::uint64_t s : srcSeq_)
-            out.u64(s);
-        out.u64(mail_.size());
-        for (const auto &m : mail_) {
-            out.u64(m.size());
-            m.forEach([&](const CrossEvent &ev) {
-                out.u64(ev.due);
-                out.u64(ev.sendTick);
-                out.u64(ev.srcSeq);
-                snap::EventCodec::encode(out, ev.cb);
-            });
-        }
-    }
-
-    void
-    restoreState(snap::Des &in, const snap::EventCodec &codec)
-    {
-        if (in.u64() != srcSeq_.size()) {
-            in.fail("snapshot shard count does not match machine");
-            return;
-        }
-        for (auto &s : srcSeq_)
-            s = in.u64();
-        if (in.u64() != mail_.size()) {
-            in.fail("snapshot mailbox count does not match machine");
-            return;
-        }
-        for (auto &m : mail_) {
-            std::uint64_t n = in.count(25);
-            for (std::uint64_t i = 0; i < n && in.ok(); ++i) {
-                CrossEvent ev;
-                ev.due = in.u64();
-                ev.sendTick = in.u64();
-                ev.srcSeq = in.u64();
-                ev.cb = codec.decode(in);
-                m.push(std::move(ev));
-            }
-        }
+        ar.fixed(srcSeq_, "snapshot shard count does not match machine",
+                 [](Ar &a, std::uint64_t &s) { a.u64(s); });
+        ar.fixed(mail_, "snapshot mailbox count does not match machine",
+                 [](Ar &a, Mailbox &m) {
+                     auto event = [&a](auto &ev) {
+                         a.u64(ev.due);
+                         a.u64(ev.sendTick);
+                         a.u64(ev.srcSeq);
+                         a.cb(ev.cb);
+                     };
+                     if constexpr (Ar::loading) {
+                         std::uint64_t n = a.count(25);
+                         for (std::uint64_t i = 0; i < n && a.ok(); ++i) {
+                             CrossEvent ev;
+                             event(ev);
+                             m.push(std::move(ev));
+                         }
+                     } else {
+                         a.u64(m.size());
+                         m.forEach(event);
+                     }
+                 });
     }
 
   private:

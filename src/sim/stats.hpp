@@ -36,8 +36,7 @@ class Counter
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    void saveState(snap::Ser &out) const { out.u64(value_); }
-    void restoreState(snap::Des &in) { value_ = in.u64(); }
+    template <class Ar> void io(Ar &ar) { ar.u64(value_); }
 
   private:
     std::uint64_t value_ = 0;
@@ -155,32 +154,17 @@ class Distribution
      * sentinels of a sample-free Distribution and every histogram
      * bucket round-trip exactly (no reset()-shaped gaps).
      */
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.f64(sum_);
-        out.u64(count_);
-        out.f64(min_);
-        out.f64(max_);
-        out.f64(histLo_);
-        out.f64(histHi_);
-        out.seq(hist_,
-                [](snap::Ser &s, std::uint64_t w) { s.u64(w); });
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        sum_ = in.f64();
-        count_ = in.u64();
-        min_ = in.f64();
-        max_ = in.f64();
-        histLo_ = in.f64();
-        histHi_ = in.f64();
-        std::uint64_t n = in.count(8);
-        hist_.assign(n, 0);
-        for (auto &w : hist_)
-            w = in.u64();
+        ar.f64(sum_);
+        ar.u64(count_);
+        ar.f64(min_);
+        ar.f64(max_);
+        ar.f64(histLo_);
+        ar.f64(histHi_);
+        ar.seq(hist_, 8, [](Ar &a, std::uint64_t &w) { a.u64(w); });
     }
 
   private:
@@ -219,8 +203,7 @@ class PeakTracker
     std::uint64_t peak() const { return peak_; }
     void reset() { peak_ = 0; }
 
-    void saveState(snap::Ser &out) const { out.u64(peak_); }
-    void restoreState(snap::Des &in) { peak_ = in.u64(); }
+    template <class Ar> void io(Ar &ar) { ar.u64(peak_); }
 
   private:
     std::uint64_t peak_ = 0;

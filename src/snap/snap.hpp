@@ -1,7 +1,8 @@
 /**
  * @file
  * Deterministic snapshot primitives: the byte-level Serializer /
- * Deserializer pair every Snapshottable component encodes itself with.
+ * Deserializer pair every component encodes itself with, through one
+ * io() body that both drive.
  *
  * Encoding rules (docs/checkpointing.md):
  *  - all integers little-endian, fixed width;
@@ -26,44 +27,100 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
+
+namespace smtp
+{
+class InlineCallback;
+} // namespace smtp
 
 namespace smtp::snap
 {
 
+class EventCodec;
+
+/*
+ * Ser and Des share one field-op vocabulary, so a component describes
+ * its state once, in `template <class Ar> void io(Ar &ar)`, and the
+ * same body both saves (Ser) and restores (Des) it:
+ *
+ *   ar.u8/u16/u32/u64(field)   fixed width; the field may be any
+ *                              integer, bool or enum type
+ *   ar.u8(field, max, why)     u8 whose restored value must be <= max
+ *   ar.i8(field)               sign-extended on restore
+ *   ar.f64 / ar.b / ar.str     raw IEEE-754 bits / bool as u8 / u32-
+ *                              length-prefixed bytes
+ *   ar.seq(c, minBytes, fn)    u64 count, then fn(ar, element) each;
+ *                              Des rebuilds c and bounds the count by
+ *                              minBytes per element (Des::count)
+ *   ar.seq(c, minBytes, fn, max, why)
+ *                              same, but a restored count above max
+ *                              fails with why
+ *   ar.fixed(c, why, fn)       u64 count that must equal c.size() on
+ *                              restore (construction-time geometry)
+ *   ar.sortedMap(m, minBytes, fn)
+ *                              hash map in ascending key order: u64
+ *                              key, then fn(ar, key, value)
+ *   ar.wordMap(m)              sparse u64 -> u64 map
+ *   ar.obj(x, ...)             nested values, each through x.io(ar)
+ *   ar.cb(callback)            event id + payload (snap/event_codec.hpp)
+ *
+ * Restore-only validation lives in `if constexpr (Ar::loading)` blocks
+ * inside io(); ok() is constantly true on a Ser so guards read the same
+ * in both directions.
+ */
+
 class Ser
 {
   public:
+    static constexpr bool loading = false;
+    static constexpr bool ok() { return true; }
+
+    template <typename T>
     void
-    u8(std::uint8_t v)
+    u8(const T &v)
     {
-        buf_.push_back(v);
+        put(static_cast<std::uint8_t>(v));
+    }
+
+    template <typename T, typename M>
+    void
+    u8(const T &v, M, const char *)
+    {
+        u8(v);
+    }
+
+    template <typename T>
+    void
+    u16(const T &v)
+    {
+        put(static_cast<std::uint16_t>(v));
+    }
+
+    template <typename T>
+    void
+    u32(const T &v)
+    {
+        put(static_cast<std::uint32_t>(v));
+    }
+
+    template <typename T>
+    void
+    u64(const T &v)
+    {
+        put(static_cast<std::uint64_t>(v));
+    }
+
+    template <typename T>
+    void
+    i8(const T &v)
+    {
+        u8(static_cast<std::int8_t>(v));
     }
 
     void b(bool v) { u8(v ? 1 : 0); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        raw(&v, sizeof(v));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        raw(&v, sizeof(v));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        raw(&v, sizeof(v));
-    }
-
-    void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
-    void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
     /** Raw IEEE-754 bits: restores inf/nan sentinels exactly. */
     void
@@ -77,7 +134,7 @@ class Ser
     void
     str(std::string_view s)
     {
-        u32(static_cast<std::uint32_t>(s.size()));
+        u32(s.size());
         raw(s.data(), s.size());
     }
 
@@ -88,29 +145,67 @@ class Ser
         buf_.insert(buf_.end(), b, b + n);
     }
 
-    /** u64 count followed by per-element @p fn. */
     template <typename C, typename Fn>
     void
-    seq(const C &c, Fn &&fn)
+    seq(C &c, std::size_t, Fn &&fn)
     {
-        u64(static_cast<std::uint64_t>(c.size()));
-        for (const auto &e : c)
+        u64(c.size());
+        for (auto &e : c)
             fn(*this, e);
     }
 
-    /** Sparse u64->u64 map in sorted key order (FuncMem, ProtocolRam). */
+    template <typename C, typename Fn>
     void
-    wordMap(const std::unordered_map<std::uint64_t, std::uint64_t> &m)
+    seq(C &c, std::size_t min_elem_bytes, Fn &&fn, std::uint64_t,
+        const char *)
     {
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
-            m.begin(), m.end());
-        std::sort(sorted.begin(), sorted.end());
-        u64(sorted.size());
-        for (const auto &[k, v] : sorted) {
+        seq(c, min_elem_bytes, fn);
+    }
+
+    template <typename C, typename Fn>
+    void
+    fixed(C &c, const char *, Fn &&fn)
+    {
+        seq(c, 0, fn);
+    }
+
+    template <typename M, typename Fn>
+    void
+    sortedMap(M &m, std::size_t, Fn &&fn)
+    {
+        std::vector<typename M::key_type> keys;
+        keys.reserve(m.size());
+        for (const auto &kv : m)
+            keys.push_back(kv.first);
+        std::sort(keys.begin(), keys.end());
+        u64(keys.size());
+        for (const auto &k : keys) {
             u64(k);
-            u64(v);
+            fn(*this, k, m.at(k));
         }
     }
+
+    /** Sparse u64->u64 map in sorted key order (FuncMem, ProtocolRam). */
+    template <typename M>
+    void
+    wordMap(M &m)
+    {
+        sortedMap(m, 16, [](Ser &s, auto, auto v) { s.u64(v); });
+    }
+
+    /**
+     * Nested values through their io(). Saving only reads what io()
+     * hands it, so a const value is encoded through the same body.
+     */
+    template <typename... T>
+    void
+    obj(const T &...v)
+    {
+        (const_cast<T &>(v).io(*this), ...);
+    }
+
+    /** Defined in snap/event_codec.hpp. */
+    void cb(const InlineCallback &c);
 
     std::size_t size() const { return buf_.size(); }
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
@@ -124,12 +219,21 @@ class Ser
     }
 
   private:
+    template <typename W>
+    void
+    put(W v)
+    {
+        raw(&v, sizeof(v));
+    }
+
     std::vector<std::uint8_t> buf_;
 };
 
 class Des
 {
   public:
+    static constexpr bool loading = true;
+
     Des(const std::uint8_t *data, std::size_t size)
         : p_(data), size_(size)
     {
@@ -146,6 +250,9 @@ class Des
     std::size_t size() const { return size_; }
     std::size_t remaining() const { return size_ - pos_; }
 
+    /** The registry cb() decodes callbacks with. */
+    void setCodec(const EventCodec *codec) { codec_ = codec; }
+
     void
     fail(std::string why)
     {
@@ -155,43 +262,65 @@ class Des
         }
     }
 
-    std::uint8_t
-    u8()
+    std::uint8_t u8() { return get<std::uint8_t>(); }
+    std::uint16_t u16() { return get<std::uint16_t>(); }
+    std::uint32_t u32() { return get<std::uint32_t>(); }
+    std::uint64_t u64() { return get<std::uint64_t>(); }
+    bool b() { return u8() != 0; }
+
+    template <typename T>
+    void
+    u8(T &v)
     {
-        std::uint8_t v = 0;
-        read(&v, sizeof(v));
-        return v;
+        v = static_cast<T>(u8());
     }
 
-    bool bl() { return u8() != 0; }
-
-    std::uint16_t
-    u16()
+    /** u8 whose value must be <= @p max; fails with @p why otherwise. */
+    template <typename T, typename M>
+    void
+    u8(T &v, M max, const char *why)
     {
-        std::uint16_t v = 0;
-        read(&v, sizeof(v));
-        return v;
+        std::uint8_t x = u8();
+        if (x > static_cast<std::uint8_t>(max))
+            fail(why);
+        else
+            v = static_cast<T>(x);
     }
 
-    std::uint32_t
-    u32()
+    template <typename T>
+    void
+    u16(T &v)
     {
-        std::uint32_t v = 0;
-        read(&v, sizeof(v));
-        return v;
+        v = static_cast<T>(u16());
     }
 
-    std::uint64_t
-    u64()
+    template <typename T>
+    void
+    u32(T &v)
     {
-        std::uint64_t v = 0;
-        read(&v, sizeof(v));
-        return v;
+        v = static_cast<T>(u32());
     }
 
-    std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    template <typename T>
+    void
+    u64(T &v)
+    {
+        v = static_cast<T>(u64());
+    }
+
+    template <typename T>
+    void
+    i8(T &v)
+    {
+        v = static_cast<T>(static_cast<std::int8_t>(u8()));
+    }
+
+    template <typename T>
+    void
+    b(T &v)
+    {
+        v = static_cast<T>(b());
+    }
 
     double
     f64()
@@ -201,6 +330,8 @@ class Des
         std::memcpy(&v, &bits, sizeof(v));
         return v;
     }
+
+    void f64(double &v) { v = f64(); }
 
     std::string
     str()
@@ -212,6 +343,8 @@ class Des
         pos_ += n;
         return s;
     }
+
+    void str(std::string &v) { v = str(); }
 
     void
     skip(std::size_t n)
@@ -248,20 +381,95 @@ class Des
         return n;
     }
 
+    template <typename C, typename Fn>
     void
-    wordMap(std::unordered_map<std::uint64_t, std::uint64_t> &m)
+    seq(C &c, std::size_t min_elem_bytes, Fn &&fn)
+    {
+        fill(c, count(min_elem_bytes), fn);
+    }
+
+    template <typename C, typename Fn>
+    void
+    seq(C &c, std::size_t min_elem_bytes, Fn &&fn, std::uint64_t max,
+        const char *why)
+    {
+        std::uint64_t n = count(min_elem_bytes);
+        if (n > max) {
+            fail(why);
+            n = 0;
+        }
+        fill(c, n, fn);
+    }
+
+    template <typename C, typename Fn>
+    void
+    fixed(C &c, const char *why, Fn &&fn)
+    {
+        if (u64() != c.size()) {
+            fail(why);
+            return;
+        }
+        for (auto &e : c)
+            fn(*this, e);
+    }
+
+    template <typename M, typename Fn>
+    void
+    sortedMap(M &m, std::size_t min_elem_bytes, Fn &&fn)
     {
         m.clear();
-        std::uint64_t n = count(16);
+        std::uint64_t n = count(min_elem_bytes);
         m.reserve(n);
         for (std::uint64_t i = 0; ok_ && i < n; ++i) {
-            std::uint64_t k = u64();
-            std::uint64_t v = u64();
-            m.emplace(k, v);
+            typename M::key_type k = static_cast<typename M::key_type>(u64());
+            fn(*this, k, m[k]);
         }
     }
 
+    template <typename M>
+    void
+    wordMap(M &m)
+    {
+        sortedMap(m, 16, [](Des &d, auto, auto &v) { d.u64(v); });
+    }
+
+    template <typename... T>
+    void
+    obj(T &...v)
+    {
+        (v.io(*this), ...);
+    }
+
+    /** Defined in snap/event_codec.hpp. */
+    void cb(InlineCallback &c);
+
   private:
+    template <typename W>
+    W
+    get()
+    {
+        W v = 0;
+        read(&v, sizeof(v));
+        return v;
+    }
+
+    /** Rebuild @p c from @p n elements, each through @p fn. */
+    template <typename C, typename Fn>
+    void
+    fill(C &c, std::uint64_t n, Fn &fn)
+    {
+        using T = std::remove_cvref_t<decltype(*c.begin())>;
+        c.clear();
+        for (std::uint64_t i = 0; ok_ && i < n; ++i) {
+            T e{};
+            fn(*this, e);
+            if constexpr (requires { c.push_back(std::move(e)); })
+                c.push_back(std::move(e));
+            else
+                c.push(std::move(e));
+        }
+    }
+
     bool
     checkAvail(std::size_t n, const char *what)
     {
@@ -280,6 +488,7 @@ class Des
     std::size_t pos_ = 0;
     bool ok_ = true;
     std::string err_;
+    const EventCodec *codec_ = nullptr;
 };
 
 /** A component whose complete mutable state round-trips through Ser/Des. */

@@ -77,44 +77,28 @@ class IntervalSampler
     // next-boundary cursor persist. The probe count is stored for
     // validation.
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(names_.size());
-        out.u64(interval_);
-        out.u64(next_);
-        out.u64(ticks_.size());
-        for (Tick t : ticks_)
-            out.u64(t);
-        for (double v : values_)
-            out.f64(v);
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        if (in.u64() != names_.size()) {
-            in.fail("corrupt snapshot: interval sampler probe count "
-                    "mismatch");
-            return;
+        std::uint64_t probes = names_.size();
+        ar.u64(probes);
+        if constexpr (Ar::loading) {
+            if (probes != names_.size()) {
+                ar.fail("corrupt snapshot: interval sampler probe count "
+                        "mismatch");
+                return;
+            }
         }
-        interval_ = in.u64();
-        next_ = in.u64();
-        std::uint64_t rows = in.count(8);
-        if (!in.ok() || rows > maxRows_) {
-            in.fail("corrupt snapshot: interval sampler row count out "
-                    "of range");
-            return;
-        }
-        ticks_.clear();
-        ticks_.reserve(rows);
-        for (std::uint64_t i = 0; in.ok() && i < rows; ++i)
-            ticks_.push_back(in.u64());
-        values_.clear();
-        values_.reserve(rows * names_.size());
-        for (std::uint64_t i = 0; in.ok() && i < rows * names_.size();
-             ++i)
-            values_.push_back(in.f64());
+        ar.u64(interval_);
+        ar.u64(next_);
+        ar.seq(ticks_, 8, [](Ar &a, Tick &t) { a.u64(t); }, maxRows_,
+               "corrupt snapshot: interval sampler row count out of "
+               "range");
+        if constexpr (Ar::loading)
+            values_.assign(ticks_.size() * names_.size(), 0.0);
+        for (double &v : values_)
+            ar.f64(v);
     }
 
   private:

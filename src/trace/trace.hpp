@@ -97,39 +97,31 @@ class TraceBuffer
     // Restore lays them back from slot 0; exports and subsequent
     // recording behave identically either way.
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(recorded_);
-        const std::size_t n = stored();
-        const std::size_t start = recorded_ < ring_.size() ? 0 : head_;
-        out.u64(n);
+        ar.u64(recorded_);
+        // On restore, stored() is now what the restored cursor implies.
+        const std::uint64_t expect = stored();
+        std::uint64_t n = expect;
+        ar.u64(n);
+        if constexpr (Ar::loading) {
+            if (!ar.ok() || n != expect) {
+                ar.fail("corrupt snapshot: trace ring event count does "
+                        "not match its cursor (capacity mismatch?)");
+                return;
+            }
+        }
+        const std::size_t start =
+            Ar::loading || recorded_ < ring_.size() ? 0 : head_;
         for (std::size_t i = 0; i < n; ++i) {
-            const Event &e = ring_[(start + i) % ring_.size()];
-            out.u64(e.meta);
-            out.u64(e.arg);
+            Event &e = ring_[(start + i) % ring_.size()];
+            ar.u64(e.meta);
+            ar.u64(e.arg);
         }
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        recorded_ = in.u64();
-        std::uint64_t n = in.count(16);
-        std::uint64_t expect = recorded_ < ring_.size()
-                                   ? recorded_
-                                   : static_cast<std::uint64_t>(
-                                         ring_.size());
-        if (!in.ok() || n != expect) {
-            in.fail("corrupt snapshot: trace ring event count does not "
-                    "match its cursor (capacity mismatch?)");
-            return;
-        }
-        for (std::size_t i = 0; in.ok() && i < n; ++i) {
-            ring_[i].meta = in.u64();
-            ring_[i].arg = in.u64();
-        }
-        head_ = n == ring_.size() ? 0 : static_cast<std::size_t>(n);
+        if constexpr (Ar::loading)
+            head_ = n == ring_.size() ? 0 : static_cast<std::size_t>(n);
     }
 
   private:
@@ -198,37 +190,25 @@ class TraceManager
     // buffers serialize positionally; names are stored only to validate
     // that the restoring machine built the same buffer list.
 
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(buffers_.size());
-        for (const auto &b : buffers_) {
-            out.str(b->name());
-            b->saveState(out);
-        }
-        sampler_.saveState(out);
-    }
-
-    void
-    restoreState(snap::Des &in)
-    {
-        if (in.u64() != buffers_.size()) {
-            in.fail("corrupt snapshot: trace buffer count mismatch "
-                    "(was the snapshot taken under a different trace "
-                    "config?)");
-            return;
-        }
-        for (auto &b : buffers_) {
-            if (in.str() != b->name()) {
-                in.fail("corrupt snapshot: trace buffer order/name "
-                        "mismatch");
-                return;
-            }
-            b->restoreState(in);
-            if (!in.ok())
-                return;
-        }
-        sampler_.restoreState(in);
+        ar.fixed(buffers_,
+                 "corrupt snapshot: trace buffer count mismatch (was the "
+                 "snapshot taken under a different trace config?)",
+                 [](Ar &a, std::unique_ptr<TraceBuffer> &b) {
+                     std::string name = b->name();
+                     a.str(name);
+                     if constexpr (Ar::loading) {
+                         if (name != b->name())
+                             a.fail("corrupt snapshot: trace buffer "
+                                    "order/name mismatch");
+                     }
+                     if (a.ok())
+                         b->io(a);
+                 });
+        ar.obj(sampler_);
     }
 
   private:

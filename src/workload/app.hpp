@@ -157,8 +157,8 @@ class App : public snap::Snapshottable
     // ---- Snapshot support (see ThreadCtx) -----------------------------
     //
     // Serializes the global coroutine resume log plus per-thread
-    // consumption cursors. restoreState must run on a *freshly built*
-    // app (same name/env, build() just called, nothing fetched yet): it
+    // consumption cursors. Restore must run on a *freshly built* app
+    // (same name/env, build() just called, nothing fetched yet): it
     // replays the log — re-executing every generator in the original
     // global order against the shared functional memory — then pops each
     // thread's consumed prefix and validates convergence.
@@ -166,91 +166,55 @@ class App : public snap::Snapshottable
     void
     saveState(snap::Ser &out) const override
     {
-        out.str(name());
-        out.u64(log_.resumes.size());
-        for (std::uint32_t g : log_.resumes)
-            out.u32(g);
-        out.u64(log_.epochs.size());
-        for (const auto &e : log_.epochs) {
-            out.u64(e.first);
-            out.u64(e.second);
-        }
-        out.u64(threads_.size());
-        for (const auto &t : threads_)
-            t->saveState(out);
+        const_cast<App *>(this)->io(out);
     }
 
+    void restoreState(snap::Des &in) override { io(in); }
+
+    template <class Ar>
     void
-    restoreState(snap::Des &in) override
+    io(Ar &ar)
     {
-        if (in.str() != name()) {
-            in.fail("snapshot was taken with a different application");
-            return;
-        }
-        std::uint64_t n = in.count(4);
-        std::vector<std::uint32_t> resumes;
-        resumes.reserve(n);
-        for (std::uint64_t i = 0; in.ok() && i < n; ++i) {
-            std::uint32_t g = in.u32();
-            if (g >= threads_.size()) {
-                in.fail("corrupt snapshot: resume log references an "
-                        "out-of-range thread");
+        std::string app(name());
+        ar.str(app);
+        if constexpr (Ar::loading) {
+            if (app != name()) {
+                ar.fail("snapshot was taken with a different application");
                 return;
             }
-            resumes.push_back(g);
         }
-        if (!in.ok())
-            return;
-        std::uint64_t ne = in.count(16);
-        std::vector<std::pair<std::uint64_t, Tick>> epochs;
-        epochs.reserve(ne);
+        const std::size_t nthreads = threads_.size();
+        ar.seq(log_.resumes, 4, [nthreads](Ar &a, std::uint32_t &g) {
+            a.u32(g);
+            if constexpr (Ar::loading) {
+                if (g >= nthreads)
+                    a.fail("corrupt snapshot: resume log references an "
+                           "out-of-range thread");
+            }
+        });
+        const std::uint64_t n = log_.resumes.size();
         std::uint64_t prev = 0;
-        for (std::uint64_t i = 0; in.ok() && i < ne; ++i) {
-            std::uint64_t at = in.u64();
-            Tick t = in.u64();
-            if (at > n || at < prev) {
-                in.fail("corrupt snapshot: resume-log tick epochs out "
-                        "of order");
-                return;
-            }
-            prev = at;
-            epochs.emplace_back(at, t);
-        }
-        if (!in.ok())
-            return;
-        // Replay, re-advancing the barrier clock at the recorded epoch
-        // boundaries so every tick-stamped work item (request birth,
-        // latency sample) regenerates with its original timestamp.
-        log_.resumes.clear();
-        log_.epochs.clear();
-        log_.now = 0;
-        std::size_t ei = 0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            while (ei < epochs.size() && epochs[ei].first <= i) {
-                log_.setNow(epochs[ei].second);
-                ++ei;
-            }
-            std::uint32_t g = resumes[i];
-            log_.resumes.push_back(g);
-            if (!threads_[g]->replayResume()) {
-                in.fail("corrupt snapshot: resume log runs past the "
-                        "end of a generator");
-                return;
-            }
-        }
-        while (ei < epochs.size()) {
-            log_.setNow(epochs[ei].second);
-            ++ei;
-        }
-        if (in.u64() != threads_.size()) {
-            in.fail("corrupt snapshot: workload thread count mismatch");
-            return;
-        }
-        for (auto &t : threads_) {
-            t->restoreState(in);
-            if (!in.ok())
+        ar.seq(log_.epochs, 16,
+               [n, &prev](Ar &a, std::pair<std::uint64_t, Tick> &e) {
+                   a.u64(e.first);
+                   a.u64(e.second);
+                   if constexpr (Ar::loading) {
+                       if (e.first > n || e.first < prev)
+                           a.fail("corrupt snapshot: resume-log tick "
+                                  "epochs out of order");
+                       prev = e.first;
+                   }
+               });
+        if constexpr (Ar::loading) {
+            if (!ar.ok() || !replay(ar))
                 return;
         }
+        ar.fixed(threads_,
+                 "corrupt snapshot: workload thread count mismatch",
+                 [](Ar &a, std::unique_ptr<ThreadCtx> &t) {
+                     if (a.ok())
+                         t->io(a);
+                 });
     }
 
   protected:
@@ -279,6 +243,42 @@ class App : public snap::Snapshottable
                                static_cast<NodeId>(n));
             }
         }
+    }
+
+    /**
+     * Re-run the just-restored resume log, re-advancing the barrier
+     * clock at the recorded epoch boundaries so every tick-stamped work
+     * item (request birth, latency sample) regenerates with its
+     * original timestamp. The replay rebuilds log_ as it goes.
+     */
+    bool
+    replay(snap::Des &in)
+    {
+        std::vector<std::uint32_t> resumes = std::move(log_.resumes);
+        std::vector<std::pair<std::uint64_t, Tick>> epochs =
+            std::move(log_.epochs);
+        log_.resumes.clear();
+        log_.epochs.clear();
+        log_.now = 0;
+        std::size_t ei = 0;
+        for (std::size_t i = 0; i < resumes.size(); ++i) {
+            while (ei < epochs.size() && epochs[ei].first <= i) {
+                log_.setNow(epochs[ei].second);
+                ++ei;
+            }
+            std::uint32_t g = resumes[i];
+            log_.resumes.push_back(g);
+            if (!threads_[g]->replayResume()) {
+                in.fail("corrupt snapshot: resume log runs past the "
+                        "end of a generator");
+                return false;
+            }
+        }
+        while (ei < epochs.size()) {
+            log_.setNow(epochs[ei].second);
+            ++ei;
+        }
+        return true;
     }
 
     WorkloadEnv env_{};

@@ -283,44 +283,46 @@ class ThreadCtx : public InstSource
         return true;
     }
 
+    /**
+     * Save, or validate and finish a replayed rebuild: restore runs on
+     * a fresh, fully replayed context (supplied_ == 0, buf_ holds every
+     * emission), pops the consumed prefix and checks that the replay
+     * converged on the snapshotted cursor.
+     */
+    template <class Ar>
     void
-    saveState(snap::Ser &out) const
+    io(Ar &ar)
     {
-        out.u64(supplied_);
-        out.u64(vpc_);
-        out.u64(buf_.size());
-        out.u32(intRot_);
-        out.u32(fpRot_);
-        out.u8(lastLoadReg_);
-    }
-
-    /** Validate + finish a replayed rebuild (call on a fresh, fully
-     *  replayed context: supplied_ == 0, buf_ holds every emission). */
-    void
-    restoreState(snap::Des &in)
-    {
-        std::uint64_t supplied = in.u64();
-        std::uint64_t vpc = in.u64();
-        std::uint64_t buffered = in.u64();
-        std::uint32_t int_rot = in.u32();
-        std::uint32_t fp_rot = in.u32();
-        std::uint8_t last_load = in.u8();
-        if (!in.ok())
-            return;
-        if (supplied > buf_.size()) {
-            in.fail("corrupt snapshot: consumed micro-op count exceeds "
-                    "replayed emissions");
-            return;
-        }
-        for (std::uint64_t i = 0; i < supplied; ++i)
-            buf_.pop_front();
-        supplied_ = supplied;
-        if (vpc_ != vpc || buf_.size() != buffered ||
-            intRot_ != int_rot || fpRot_ != fp_rot ||
-            lastLoadReg_ != last_load) {
-            in.fail("workload replay divergence: the rebuilt generator "
-                    "does not match the snapshotted one (different app, "
-                    "seed, scale, or code version?)");
+        std::uint64_t supplied = supplied_;
+        std::uint64_t vpc = vpc_;
+        std::uint64_t buffered = buf_.size();
+        std::uint32_t int_rot = intRot_;
+        std::uint32_t fp_rot = fpRot_;
+        std::uint8_t last_load = lastLoadReg_;
+        ar.u64(supplied);
+        ar.u64(vpc);
+        ar.u64(buffered);
+        ar.u32(int_rot);
+        ar.u32(fp_rot);
+        ar.u8(last_load);
+        if constexpr (Ar::loading) {
+            if (!ar.ok())
+                return;
+            if (supplied > buf_.size()) {
+                ar.fail("corrupt snapshot: consumed micro-op count "
+                        "exceeds replayed emissions");
+                return;
+            }
+            for (std::uint64_t i = 0; i < supplied; ++i)
+                buf_.pop_front();
+            supplied_ = supplied;
+            if (vpc_ != vpc || buf_.size() != buffered ||
+                intRot_ != int_rot || fpRot_ != fp_rot ||
+                lastLoadReg_ != last_load) {
+                ar.fail("workload replay divergence: the rebuilt "
+                        "generator does not match the snapshotted one "
+                        "(different app, seed, scale, or code version?)");
+            }
         }
     }
 

@@ -23,15 +23,31 @@ namespace
 
 std::atomic<std::uint64_t> g_allocs{0};
 
+void *
+countedMalloc(std::size_t n) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n ? n : 1);
+}
+
+void *
+countedAligned(std::size_t n, std::align_val_t al) noexcept
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    auto a = static_cast<std::size_t>(al);
+    return std::aligned_alloc(a, ((n + a - 1) / a) * a);
+}
+
 } // namespace
 
-// Program-wide counting allocator. Every usual form funnels through
-// these two, so the counter sees all C++ heap traffic in the binary.
+// Program-wide counting allocator. Every form, nothrow included,
+// allocates with malloc or aligned_alloc, so the one free() below is
+// the matching release for all of them and the counter sees all C++
+// heap traffic in the binary.
 void *
 operator new(std::size_t n)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
+    if (void *p = countedMalloc(n))
         return p;
     throw std::bad_alloc();
 }
@@ -45,12 +61,7 @@ operator new[](std::size_t n)
 void *
 operator new(std::size_t n, std::align_val_t al)
 {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                     ((n + static_cast<std::size_t>(al) -
-                                       1) /
-                                      static_cast<std::size_t>(al)) *
-                                         static_cast<std::size_t>(al)))
+    if (void *p = countedAligned(n, al))
         return p;
     throw std::bad_alloc();
 }
@@ -59,6 +70,32 @@ void *
 operator new[](std::size_t n, std::align_val_t al)
 {
     return ::operator new(n, al);
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedMalloc(n);
+}
+
+void *
+operator new(std::size_t n, std::align_val_t al,
+             const std::nothrow_t &) noexcept
+{
+    return countedAligned(n, al);
+}
+
+void *
+operator new[](std::size_t n, std::align_val_t al,
+               const std::nothrow_t &) noexcept
+{
+    return countedAligned(n, al);
 }
 
 void operator delete(void *p) noexcept { std::free(p); }

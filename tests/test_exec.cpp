@@ -145,6 +145,15 @@ struct ModelCase
     const char *name;
 };
 
+// Without this, gtest prints the case as raw bytes: uninitialised
+// padding and the name's pointer, so the discovered ctest names would
+// differ between builds.
+void
+PrintTo(const ModelCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ExecAllModels : public ::testing::TestWithParam<ModelCase>
 {
 };

@@ -13,6 +13,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <limits>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "machine/machine.hpp"
 #include "sim/stats.hpp"
@@ -26,39 +29,108 @@ namespace smtp
 namespace
 {
 
+/** Every field op, driven through one io() by both archives. */
+struct AllOps
+{
+    std::uint8_t u8 = 0;
+    bool yes = false, no = true;
+    std::uint16_t u16 = 0;
+    std::uint32_t u32 = 0;
+    std::uint64_t u64 = 0;
+    std::int8_t i8 = 0;
+    std::int32_t i32 = 0;
+    std::int64_t i64 = 0;
+    double pi = 0.0, ninf = 0.0;
+    std::string hello, empty = "x";
+    std::vector<std::uint16_t> seq;
+    std::vector<std::uint32_t> fixed = std::vector<std::uint32_t>(3);
+    std::unordered_map<std::uint64_t, std::uint64_t> words;
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u8(u8);
+        ar.b(yes);
+        ar.b(no);
+        ar.u16(u16);
+        ar.u32(u32);
+        ar.u64(u64);
+        ar.i8(i8);
+        ar.u32(i32);
+        ar.u64(i64);
+        ar.f64(pi);
+        ar.f64(ninf);
+        ar.str(hello);
+        ar.str(empty);
+        ar.seq(seq, 2, [](Ar &a, std::uint16_t &v) { a.u16(v); });
+        ar.fixed(fixed, "fixed count mismatch",
+                 [](Ar &a, std::uint32_t &v) { a.u32(v); });
+        ar.wordMap(words);
+    }
+};
+
 TEST(SerDes, PrimitivesRoundTrip)
 {
-    snap::Ser s;
-    s.u8(0xab);
-    s.b(true);
-    s.b(false);
-    s.u16(0xbeef);
-    s.u32(0xdeadbeefu);
-    s.u64(0x0123456789abcdefull);
-    s.i8(-5);
-    s.i32(-123456789);
-    s.i64(-1234567890123456789ll);
-    s.f64(3.14159);
-    s.f64(-std::numeric_limits<double>::infinity());
-    s.str("hello snapshot");
-    s.str("");
+    AllOps a;
+    a.u8 = 0xab;
+    a.yes = true;
+    a.no = false;
+    a.u16 = 0xbeef;
+    a.u32 = 0xdeadbeefu;
+    a.u64 = 0x0123456789abcdefull;
+    a.i8 = -5;
+    a.i32 = -123456789;
+    a.i64 = -1234567890123456789ll;
+    a.pi = 3.14159;
+    a.ninf = -std::numeric_limits<double>::infinity();
+    a.hello = "hello snapshot";
+    a.empty = "";
+    a.seq = {1, 2, 65535};
+    a.fixed = {7, 8, 9};
+    a.words = {{3, 30}, {1, 10}, {2, 20}};
 
+    snap::Ser s;
+    a.io(s);
+    AllOps b;
     snap::Des d(s.buffer().data(), s.size());
-    EXPECT_EQ(d.u8(), 0xab);
-    EXPECT_TRUE(d.bl());
-    EXPECT_FALSE(d.bl());
-    EXPECT_EQ(d.u16(), 0xbeef);
-    EXPECT_EQ(d.u32(), 0xdeadbeefu);
-    EXPECT_EQ(d.u64(), 0x0123456789abcdefull);
-    EXPECT_EQ(d.i8(), -5);
-    EXPECT_EQ(d.i32(), -123456789);
-    EXPECT_EQ(d.i64(), -1234567890123456789ll);
-    EXPECT_EQ(d.f64(), 3.14159);
-    EXPECT_EQ(d.f64(), -std::numeric_limits<double>::infinity());
-    EXPECT_EQ(d.str(), "hello snapshot");
-    EXPECT_EQ(d.str(), "");
-    EXPECT_TRUE(d.ok());
+    b.io(d);
+    EXPECT_TRUE(d.ok()) << d.error();
     EXPECT_EQ(d.remaining(), 0u);
+    EXPECT_EQ(b.u8, 0xab);
+    EXPECT_TRUE(b.yes);
+    EXPECT_FALSE(b.no);
+    EXPECT_EQ(b.u16, 0xbeef);
+    EXPECT_EQ(b.u32, 0xdeadbeefu);
+    EXPECT_EQ(b.u64, 0x0123456789abcdefull);
+    EXPECT_EQ(b.i8, -5);
+    EXPECT_EQ(b.i32, -123456789);
+    EXPECT_EQ(b.i64, -1234567890123456789ll);
+    EXPECT_EQ(b.pi, 3.14159);
+    EXPECT_EQ(b.ninf, -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(b.hello, "hello snapshot");
+    EXPECT_EQ(b.empty, "");
+    EXPECT_EQ(b.seq, a.seq);
+    EXPECT_EQ(b.fixed, a.fixed);
+    EXPECT_EQ(b.words, a.words);
+
+    // The fixed-size sequence is construction-time geometry: a count
+    // that differs on restore is rejected with the op's diagnostic.
+    AllOps c;
+    c.fixed.resize(2);
+    snap::Des d2(s.buffer().data(), s.size());
+    c.io(d2);
+    EXPECT_FALSE(d2.ok());
+    EXPECT_EQ(d2.error(), "fixed count mismatch");
+
+    // Hash-map iteration order never reaches the bytes.
+    AllOps e = a;
+    e.words.clear();
+    for (std::uint64_t k : {2, 3, 1})
+        e.words[k] = a.words[k];
+    snap::Ser s2;
+    e.io(s2);
+    EXPECT_EQ(s2.buffer(), s.buffer());
 }
 
 TEST(SerDes, TruncatedReadSticksError)
@@ -224,10 +296,10 @@ T
 roundTrip(const T &orig)
 {
     snap::Ser s;
-    orig.saveState(s);
+    s.obj(orig);
     snap::Des d(s.buffer().data(), s.size());
     T fresh;
-    fresh.restoreState(d);
+    fresh.io(d);
     EXPECT_TRUE(d.ok()) << d.error();
     EXPECT_EQ(d.remaining(), 0u);
     return fresh;
@@ -306,10 +378,10 @@ TEST(StatSnap, TraceRingNormalizesWrap)
         orig.record(i * 10, static_cast<trace::EventId>(1), i);
 
     snap::Ser s;
-    orig.saveState(s);
+    orig.io(s);
     trace::TraceBuffer fresh("t", 0, trace::Category::Cpu, 4);
     snap::Des d(s.buffer().data(), s.size());
-    fresh.restoreState(d);
+    fresh.io(d);
     ASSERT_TRUE(d.ok()) << d.error();
 
     orig.record(99, static_cast<trace::EventId>(2), 99);
@@ -331,10 +403,10 @@ TEST(StatSnap, TraceRingCapacityMismatchRejected)
     for (int i = 0; i < 20; ++i)
         orig.record(i, static_cast<trace::EventId>(1), 0);
     snap::Ser s;
-    orig.saveState(s);
+    orig.io(s);
     trace::TraceBuffer fresh("t", 0, trace::Category::Cpu, 4);
     snap::Des d(s.buffer().data(), s.size());
-    fresh.restoreState(d);
+    fresh.io(d);
     EXPECT_FALSE(d.ok());
 }
 

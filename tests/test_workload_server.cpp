@@ -168,6 +168,14 @@ struct SmokeCase
     const char *app;
 };
 
+// Print by name, not as raw bytes (pointers and padding), so the
+// discovered ctest names are the same in every build.
+void
+PrintTo(const SmokeCase &c, std::ostream *os)
+{
+    *os << c.modelName << '/' << c.app;
+}
+
 class ServerSmoke : public ::testing::TestWithParam<SmokeCase>
 {
 };
