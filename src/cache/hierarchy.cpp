@@ -805,34 +805,4 @@ CacheHierarchy::io(Ar &ar)
 template void CacheHierarchy::io(snap::Ser &);
 template void CacheHierarchy::io(snap::Des &);
 
-void
-CacheHierarchy::registerSnapEvents(
-    snap::EventCodec &codec, std::function<CacheHierarchy *(NodeId)> resolve)
-{
-    codec.add(snap::evCacheDrainOutQ,
-              [resolve](snap::Des &in) -> EventQueue::Callback {
-                  NodeId n = in.u16();
-                  CacheHierarchy *c = resolve(n);
-                  if (c == nullptr) {
-                      in.fail("cache drain event for unknown node");
-                      return {};
-                  }
-                  return DrainEv{c};
-              });
-    codec.add(snap::evCacheBypassFill,
-              [resolve](snap::Des &in) -> EventQueue::Callback {
-                  NodeId n = in.u16();
-                  CacheHierarchy *c = resolve(n);
-                  Addr line = in.u64();
-                  Addr demand = in.u64();
-                  bool is_store = in.b();
-                  bool is_ifetch = in.b();
-                  if (c == nullptr) {
-                      in.fail("bypass fill event for unknown node");
-                      return {};
-                  }
-                  return BypassFillEv{c, line, demand, is_store, is_ifetch};
-              });
-}
-
 } // namespace smtp

@@ -213,7 +213,12 @@ class CacheHierarchy
             c->drainOutQ();
         }
 
-        void snapEncode(snap::Ser &s) const { s.u16(c->self_); }
+        template <class Ar>
+        void
+        io(Ar &ar)
+        {
+            ar.owner(c, "cache drain event for unknown node");
+        }
     };
 
     /** Protocol-space line arrival over the dedicated bypass bus. */
@@ -232,21 +237,20 @@ class CacheHierarchy
             c->protoFillArrived(line, demand, isStore, isIfetch);
         }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(c->self_);
-            s.u64(line);
-            s.u64(demand);
-            s.b(isStore);
-            s.b(isIfetch);
+            ar.owner(c, "bypass fill event for unknown node");
+            ar.u64(line);
+            ar.u64(demand);
+            ar.b(isStore);
+            ar.b(isIfetch);
         }
     };
 
     template <class Ar> void io(Ar &ar);
-    static void
-    registerSnapEvents(snap::EventCodec &codec,
-                       std::function<CacheHierarchy *(NodeId)> resolve);
+    NodeId nodeId() const { return self_; }
 
     // ---- Stats -------------------------------------------------------
 

@@ -323,7 +323,7 @@ class Checker
         static constexpr std::uint32_t kSnapId = snap::evWatchdog;
         Checker *ck;
         void operator()() const { ck->scan(); }
-        void snapEncode(snap::Ser &) const {}
+        template <class Ar> void io(Ar &) {}
     };
 
     EventQueue *eq_;

@@ -1411,79 +1411,6 @@ SmtCpu::resolveUid(std::uint64_t uid) const
 }
 
 void
-SmtCpu::registerSnapEvents(snap::EventCodec &codec,
-                           std::function<SmtCpu *(NodeId)> resolve)
-{
-    auto cpu_of = [resolve](snap::Des &in) -> SmtCpu * {
-        NodeId n = in.u16();
-        SmtCpu *c = resolve(n);
-        if (c == nullptr)
-            in.fail("snapshot references an unknown cpu node");
-        return c;
-    };
-    codec.add(snap::evCpuTick,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  if (c == nullptr)
-                      return {};
-                  return TickEv{c};
-              });
-    codec.add(snap::evCpuCompleteInst,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  std::uint64_t uid = in.u64();
-                  if (c == nullptr)
-                      return {};
-                  return CompleteEv{c, c->resolveUid(uid), uid};
-              });
-    codec.add(snap::evCpuFetchDone,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  ThreadId tid = in.u8();
-                  Addr line = in.u64();
-                  if (c == nullptr)
-                      return {};
-                  if (tid >= c->threads_.size()) {
-                      in.fail("corrupt snapshot: fetch event thread out "
-                              "of range");
-                      return {};
-                  }
-                  return FetchDoneEv{c, tid, line};
-              });
-    codec.add(snap::evCpuTlbRetry,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  std::uint64_t uid = in.u64();
-                  if (c == nullptr)
-                      return {};
-                  return TlbRetryEv{c, c->resolveUid(uid), uid};
-              });
-    codec.add(snap::evCpuLoadFill,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  std::uint64_t uid = in.u64();
-                  if (c == nullptr)
-                      return {};
-                  return LoadFillEv{c, c->resolveUid(uid), uid};
-              });
-    codec.add(snap::evCpuSbDrain,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  if (c == nullptr)
-                      return {};
-                  return SbDrainEv{c};
-              });
-    codec.add(snap::evCpuProtoSbDrain,
-              [cpu_of](snap::Des &in) -> InlineCallback {
-                  SmtCpu *c = cpu_of(in);
-                  Addr key = in.u64();
-                  if (c == nullptr)
-                      return {};
-                  return ProtoSbDrainEv{c, key};
-              });
-}
-
-void
 SmtCpu::sampleProtoOccupancy()
 {
     ThreadId ptid = protocolTid();

@@ -186,6 +186,20 @@ class SmtCpu
     // the re-created instruction pool (a dead uid decodes to a no-op,
     // exactly matching the live generation check).
 
+    static constexpr const char *badNodeEvent =
+        "snapshot references an unknown cpu node";
+
+    /** Owner and DynInst uid of the per-instruction events below. */
+    template <class Ar>
+    static void
+    instIo(Ar &ar, SmtCpu *&c, DynInst *&dyn, std::uint64_t &uid)
+    {
+        ar.owner(c, badNodeEvent);
+        ar.u64(uid);
+        if constexpr (Ar::loading)
+            dyn = ar.ok() ? c->resolveUid(uid) : nullptr;
+    }
+
     struct TickEv
     {
         static constexpr std::uint32_t kSnapId = snap::evCpuTick;
@@ -196,7 +210,7 @@ class SmtCpu
             c->tickScheduled_ = false;
             c->tick();
         }
-        void snapEncode(snap::Ser &s) const { s.u16(c->self_); }
+        template <class Ar> void io(Ar &ar) { ar.owner(c, badNodeEvent); }
     };
 
     struct CompleteEv
@@ -206,12 +220,7 @@ class SmtCpu
         DynInst *dyn;
         std::uint64_t uid;
         void operator()() const;
-        void
-        snapEncode(snap::Ser &s) const
-        {
-            s.u16(c->self_);
-            s.u64(uid);
-        }
+        template <class Ar> void io(Ar &ar) { instIo(ar, c, dyn, uid); }
     };
 
     struct FetchDoneEv
@@ -221,12 +230,18 @@ class SmtCpu
         ThreadId tid;
         Addr line;
         void operator()() const;
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(c->self_);
-            s.u8(tid);
-            s.u64(line);
+            ar.owner(c, badNodeEvent);
+            ar.u8(tid);
+            ar.u64(line);
+            if constexpr (Ar::loading) {
+                if (ar.ok() && tid >= c->threads_.size())
+                    ar.fail("corrupt snapshot: fetch event thread out of "
+                            "range");
+            }
         }
     };
 
@@ -237,12 +252,7 @@ class SmtCpu
         DynInst *dyn;
         std::uint64_t uid;
         void operator()() const;
-        void
-        snapEncode(snap::Ser &s) const
-        {
-            s.u16(c->self_);
-            s.u64(uid);
-        }
+        template <class Ar> void io(Ar &ar) { instIo(ar, c, dyn, uid); }
     };
 
     /** Cache fill for a load: start the operand-read stages. */
@@ -253,12 +263,7 @@ class SmtCpu
         DynInst *dyn;
         std::uint64_t uid;
         void operator()() const;
-        void
-        snapEncode(snap::Ser &s) const
-        {
-            s.u16(c->self_);
-            s.u64(uid);
-        }
+        template <class Ar> void io(Ar &ar) { instIo(ar, c, dyn, uid); }
     };
 
     struct SbDrainEv
@@ -266,7 +271,7 @@ class SmtCpu
         static constexpr std::uint32_t kSnapId = snap::evCpuSbDrain;
         SmtCpu *c;
         void operator()() const;
-        void snapEncode(snap::Ser &s) const { s.u16(c->self_); }
+        template <class Ar> void io(Ar &ar) { ar.owner(c, badNodeEvent); }
     };
 
     struct ProtoSbDrainEv
@@ -275,21 +280,20 @@ class SmtCpu
         SmtCpu *c;
         Addr key;
         void operator()() const;
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(c->self_);
-            s.u64(key);
+            ar.owner(c, badNodeEvent);
+            ar.u64(key);
         }
     };
 
     template <class Ar> void io(Ar &ar);
+    NodeId nodeId() const { return self_; }
 
     /** Live-instruction lookup during event decode (nullptr if dead). */
     DynInst *resolveUid(std::uint64_t uid) const;
-
-    static void registerSnapEvents(snap::EventCodec &codec,
-                                   std::function<SmtCpu *(NodeId)> resolve);
 
   private:
     struct ThreadState;

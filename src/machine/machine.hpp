@@ -361,10 +361,15 @@ class Machine
     bool restoreImage(std::vector<std::uint8_t> image,
                       std::string *err = nullptr);
 
+    /**
+     * The event decoder restore uses: every snappable event type plus
+     * one owner resolver per component type of this machine.
+     */
+    snap::EventCodec buildEventCodec();
+
   private:
     void saveSections(snap::SnapWriter &w) const;
     bool restoreFrom(const snap::SnapReader &r, std::string *err);
-    snap::EventCodec buildEventCodec();
 
     Tick curTick() const { return shards_.queue(0).curTick(); }
     bool allDone() const;

@@ -97,20 +97,29 @@ Machine::configHash() const
 snap::EventCodec
 Machine::buildEventCodec()
 {
+    using MC = MemController;
     snap::EventCodec codec;
-    net_->registerSnapEvents(codec);
-    CacheHierarchy::registerSnapEvents(codec, [this](NodeId n) {
-        return n < nodes_.size() ? nodes_[n]->cache.get() : nullptr;
-    });
-    MemController::registerSnapEvents(codec, [this](NodeId n) {
-        return n < nodes_.size() ? nodes_[n]->mc.get() : nullptr;
-    });
-    SmtCpu::registerSnapEvents(codec, [this](NodeId n) {
-        return n < nodes_.size() ? nodes_[n]->cpu.get() : nullptr;
-    });
-    PEngine::registerSnapEvents(codec, [this](NodeId n) -> PEngine * {
-        return n < nodes_.size() ? nodes_[n]->pengine.get() : nullptr;
-    });
+    codec.add<Network::LandEv, Network::HopEv, Network::RetryEv,
+              CacheHierarchy::DrainEv, CacheHierarchy::BypassFillEv,
+              MC::PokeEv, MC::DispatchPollEv, MC::CtxMemDoneEv,
+              MC::DeliverLocalEv, MC::NetDeliverEv, MC::DrainNiOutEv,
+              MC::PendingSendEv, MC::BypassBusEv, MC::MemWriteEv,
+              SmtCpu::TickEv, SmtCpu::CompleteEv, SmtCpu::FetchDoneEv,
+              SmtCpu::TlbRetryEv, SmtCpu::LoadFillEv, SmtCpu::SbDrainEv,
+              SmtCpu::ProtoSbDrainEv, PEngine::IcacheFillEv,
+              PEngine::DcacheFillEv, PEngine::SendReleaseEv,
+              PEngine::HandlerDoneEv>();
+    auto per_node = [this](auto member) {
+        return [this, member](NodeId n) {
+            return n < nodes_.size() ? ((*nodes_[n]).*member).get()
+                                     : nullptr;
+        };
+    };
+    codec.owner<Network>([this](NodeId) { return net_.get(); });
+    codec.owner<CacheHierarchy>(per_node(&Node::cache));
+    codec.owner<MemController>(per_node(&Node::mc));
+    codec.owner<SmtCpu>(per_node(&Node::cpu));
+    codec.owner<PEngine>(per_node(&Node::pengine));
     return codec;
 }
 

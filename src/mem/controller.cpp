@@ -797,96 +797,4 @@ MemController::io(Ar &ar)
 template void MemController::io(snap::Ser &);
 template void MemController::io(snap::Des &);
 
-void
-MemController::registerSnapEvents(
-    snap::EventCodec &codec, std::function<MemController *(NodeId)> resolve)
-{
-    auto mc_of = [resolve](snap::Des &in) -> MemController * {
-        NodeId n = in.u16();
-        MemController *mc = resolve(n);
-        if (mc == nullptr)
-            in.fail("controller event for unknown node");
-        return mc;
-    };
-    codec.add(snap::evMcPoke,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  if (!mc)
-                      return {};
-                  return PokeEv{mc};
-              });
-    codec.add(snap::evMcDispatchPoll,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  if (!mc)
-                      return {};
-                  return DispatchPollEv{mc};
-              });
-    codec.add(snap::evMcCtxMemDone,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  std::uint64_t id = in.u64();
-                  if (!mc)
-                      return {};
-                  return CtxMemDoneEv{mc, id};
-              });
-    codec.add(snap::evMcDeliverLocal,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  Message m;
-                  in.obj(m);
-                  if (!mc)
-                      return {};
-                  return DeliverLocalEv{mc, m};
-              });
-    codec.add(snap::evMcNetDeliver,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  Message m;
-                  in.obj(m);
-                  if (!mc)
-                      return {};
-                  return NetDeliverEv{mc, m};
-              });
-    codec.add(snap::evMcDrainNiOut,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  if (!mc)
-                      return {};
-                  return DrainNiOutEv{mc};
-              });
-    codec.add(snap::evMcMemWrite,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  Addr a = in.u64();
-                  if (!mc)
-                      return {};
-                  return MemWriteEv{mc, a};
-              });
-    codec.add(snap::evMcPendingSend,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  std::uint8_t kind = in.u8();
-                  Message m;
-                  in.obj(m);
-                  bool delayed = in.b();
-                  if (!mc || kind > 3) {
-                      in.fail("corrupt snapshot: pending-send kind");
-                      return {};
-                  }
-                  return PendingSendEv{mc, kind, m, delayed};
-              });
-    codec.add(snap::evMcBypassDone,
-              [mc_of](snap::Des &in) -> EventQueue::Callback {
-                  MemController *mc = mc_of(in);
-                  Addr a = in.u64();
-                  bool write = in.b();
-                  EventQueue::Callback done;
-                  in.cb(done);
-                  if (!mc)
-                      return {};
-                  return BypassBusEv{mc, a, write, std::move(done)};
-              });
-}
-
 } // namespace smtp

@@ -144,6 +144,23 @@ class MemController : public proto::ExecEnv
 
     // ---- Snapshot support --------------------------------------------
 
+    static constexpr const char *badNodeEvent =
+        "controller event for unknown node";
+
+    /**
+     * Restore-time lookup of the live transaction an event names; fails
+     * @p in when there is none (such an event would fire on a dead
+     * context).
+     */
+    TransactionCtx *
+    eventCtx(snap::Des &in, std::uint64_t id)
+    {
+        TransactionCtx *ctx = ctxById(id);
+        if (ctx == nullptr)
+            in.fail("corrupt snapshot: event for an unknown transaction");
+        return ctx;
+    }
+
     /** Dispatch poke after a bus/clock crossing. */
     struct PokeEv
     {
@@ -152,7 +169,7 @@ class MemController : public proto::ExecEnv
 
         void operator()() const { mc->tryDispatch(); }
 
-        void snapEncode(snap::Ser &s) const { s.u16(mc->self_); }
+        template <class Ar> void io(Ar &ar) { ar.owner(mc, badNodeEvent); }
     };
 
     /** Deferred-intervention replay poll. */
@@ -168,7 +185,7 @@ class MemController : public proto::ExecEnv
             mc->tryDispatch();
         }
 
-        void snapEncode(snap::Ser &s) const { s.u16(mc->self_); }
+        template <class Ar> void io(Ar &ar) { ar.owner(mc, badNodeEvent); }
     };
 
     /** Speculative/lazy SDRAM line read completed for a transaction. */
@@ -180,11 +197,16 @@ class MemController : public proto::ExecEnv
 
         void operator()() const { mc->ctxMemDone(ctxId); }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(mc->self_);
-            s.u64(ctxId);
+            ar.owner(mc, badNodeEvent);
+            ar.u64(ctxId);
+            if constexpr (Ar::loading) {
+                if (ar.ok())
+                    mc->eventCtx(ar, ctxId);
+            }
         }
     };
 
@@ -197,11 +219,12 @@ class MemController : public proto::ExecEnv
 
         void operator()() const { mc->deliverLocalNow(msg); }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(mc->self_);
-            s.obj(msg);
+            ar.owner(mc, badNodeEvent);
+            ar.obj(msg);
         }
     };
 
@@ -214,11 +237,12 @@ class MemController : public proto::ExecEnv
 
         void operator()() const { mc->netDeliverNow(msg); }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(mc->self_);
-            s.obj(msg);
+            ar.owner(mc, badNodeEvent);
+            ar.obj(msg);
         }
     };
 
@@ -230,7 +254,7 @@ class MemController : public proto::ExecEnv
 
         void operator()() const { mc->drainNiOutNow(); }
 
-        void snapEncode(snap::Ser &s) const { s.u16(mc->self_); }
+        template <class Ar> void io(Ar &ar) { ar.owner(mc, badNodeEvent); }
     };
 
     /** Commit a carried data line to local SDRAM. */
@@ -246,11 +270,12 @@ class MemController : public proto::ExecEnv
             mc->sdram_.access(lineAlign(addr), l2LineBytes, true);
         }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(mc->self_);
-            s.u64(addr);
+            ar.owner(mc, badNodeEvent);
+            ar.u64(addr);
         }
     };
 
@@ -270,13 +295,18 @@ class MemController : public proto::ExecEnv
 
         void operator()() const { mc->runPendingSend(kind, msg, delayed); }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(mc->self_);
-            s.u8(kind);
-            s.obj(msg);
-            s.b(delayed);
+            ar.owner(mc, badNodeEvent);
+            ar.u8(kind);
+            ar.obj(msg);
+            ar.b(delayed);
+            if constexpr (Ar::loading) {
+                if (kind > 3)
+                    ar.fail("corrupt snapshot: pending-send kind");
+            }
         }
     };
 
@@ -295,20 +325,18 @@ class MemController : public proto::ExecEnv
             mc->sdram_.access(addr, l2LineBytes, write, done);
         }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(mc->self_);
-            s.u64(addr);
-            s.b(write);
-            s.cb(done);
+            ar.owner(mc, badNodeEvent);
+            ar.u64(addr);
+            ar.b(write);
+            ar.cb(done);
         }
     };
 
     template <class Ar> void io(Ar &ar);
-    static void
-    registerSnapEvents(snap::EventCodec &codec,
-                       std::function<MemController *(NodeId)> resolve);
 
     // ---- proto::ExecEnv ----------------------------------------------
 

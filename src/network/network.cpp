@@ -361,27 +361,6 @@ template void Network::io(snap::Ser &);
 template void Network::io(snap::Des &);
 
 void
-Network::registerSnapEvents(snap::EventCodec &codec)
-{
-    codec.add(snap::evNetLand, [this](snap::Des &d) {
-        proto::Message m;
-        d.obj(m);
-        return EventQueue::Callback(LandEv{this, m});
-    });
-    codec.add(snap::evNetHop, [this](snap::Des &d) {
-        proto::Message m;
-        d.obj(m);
-        unsigned router = d.u32();
-        return EventQueue::Callback(HopEv{this, m, router});
-    });
-    codec.add(snap::evNetRetry, [this](snap::Des &d) {
-        NodeId node = d.u16();
-        std::uint8_t vnet = d.u8();
-        return EventQueue::Callback(RetryEv{this, node, vnet});
-    });
-}
-
-void
 Network::debugState(std::FILE *out) const
 {
     std::int64_t flight = 0;

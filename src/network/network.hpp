@@ -161,7 +161,15 @@ class Network
 
         void operator()() const { net->land(m); }
 
-        void snapEncode(snap::Ser &s) const { s.obj(m); }
+        template <class Ar>
+        void
+        io(Ar &ar)
+        {
+            ar.owner(net);
+            ar.obj(m);
+            if constexpr (Ar::loading)
+                net->checkDest(ar, m);
+        }
     };
 
     /** Head arrival at an intermediate router. */
@@ -174,11 +182,19 @@ class Network
 
         void operator()() const { net->hop(m, router); }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.obj(m);
-            s.u32(router);
+            ar.owner(net);
+            ar.obj(m);
+            ar.u32(router);
+            if constexpr (Ar::loading) {
+                net->checkDest(ar, m);
+                if (ar.ok() && router >= net->numRouters_)
+                    ar.fail("corrupt snapshot: network hop router out of "
+                            "range");
+            }
         }
     };
 
@@ -199,16 +215,23 @@ class Network
             net->tryDeliver(node, vnet);
         }
 
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(node);
-            s.u8(vnet);
+            ar.owner(net);
+            ar.u16(node);
+            ar.u8(vnet);
+            if constexpr (Ar::loading) {
+                if (ar.ok() && (node >= net->params_.numNodes ||
+                                vnet >= proto::numVnets))
+                    ar.fail("corrupt snapshot: network retry for an "
+                            "unknown landing buffer");
+            }
         }
     };
 
     template <class Ar> void io(Ar &ar);
-    void registerSnapEvents(snap::EventCodec &codec);
 
     // ---- Stats (per-shard slices, merged on read) ---------------------
 
@@ -246,6 +269,15 @@ class Network
     };
 
     unsigned routerOf(NodeId n) const { return n / params_.nodesPerRouter; }
+
+    /** Restore-time check that an in-flight message names a real node. */
+    void
+    checkDest(snap::Des &in, const proto::Message &m) const
+    {
+        if (in.ok() && m.dest >= params_.numNodes)
+            in.fail("corrupt snapshot: network message for an unknown "
+                    "node");
+    }
 
     /** Shard owning node @p n (identity when sharded, else 0). */
     unsigned

@@ -20,7 +20,6 @@
 #define SMTP_PENGINE_PENGINE_HPP
 
 #include <algorithm>
-#include <functional>
 
 #include "cache/cache_array.hpp"
 #include "mem/agent.hpp"
@@ -88,8 +87,14 @@ class PEngine : public ProtocolAgent
     // ---- Snapshot support --------------------------------------------
     //
     // Pending SDRAM fills and deferred release/done events reference the
-    // engine by node and the in-flight transaction by context id,
-    // resolved through the owning memory controller at decode/fire time.
+    // engine by node and the in-flight transaction by context id; decode
+    // checks the id against the restored controller, firing looks it up.
+
+    static constexpr const char *badNodeEvent =
+        "snapshot references an unknown protocol engine";
+
+    /** The node of the controller this engine serves. */
+    NodeId nodeId() const { return mc_->nodeId(); }
 
     struct IcacheFillEv
     {
@@ -104,11 +109,12 @@ class PEngine : public ProtocolAgent
             SMTP_ASSERT(pe->idx_ == resume, "fetch resume skew");
             pe->step();
         }
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(pe->mc_->nodeId());
-            s.u64(resume);
+            ar.owner(pe, badNodeEvent);
+            ar.u64(resume);
         }
     };
 
@@ -123,7 +129,7 @@ class PEngine : public ProtocolAgent
                 pe->time_, pe->clock_.nextEdge(pe->eq_->curTick()));
             pe->step();
         }
-        void snapEncode(snap::Ser &s) const { s.u16(pe->mc_->nodeId()); }
+        template <class Ar> void io(Ar &ar) { ar.owner(pe, badNodeEvent); }
     };
 
     struct SendReleaseEv
@@ -139,12 +145,20 @@ class PEngine : public ProtocolAgent
             SMTP_ASSERT(ctx != nullptr, "send release for a dead handler");
             pe->mc_->releaseSend(ctx, sendIdx);
         }
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(pe->mc_->nodeId());
-            s.u64(ctxId);
-            s.u32(sendIdx);
+            ar.owner(pe, badNodeEvent);
+            ar.u64(ctxId);
+            ar.u32(sendIdx);
+            if constexpr (Ar::loading) {
+                TransactionCtx *ctx =
+                    ar.ok() ? pe->mc_->eventCtx(ar, ctxId) : nullptr;
+                if (ctx != nullptr && sendIdx >= ctx->trace.sends.size())
+                    ar.fail("corrupt snapshot: send release index out of "
+                            "range");
+            }
         }
     };
 
@@ -161,11 +175,16 @@ class PEngine : public ProtocolAgent
             pe->ctx_ = nullptr;
             pe->mc_->handlerDone(ctx);
         }
+        template <class Ar>
         void
-        snapEncode(snap::Ser &s) const
+        io(Ar &ar)
         {
-            s.u16(pe->mc_->nodeId());
-            s.u64(ctxId);
+            ar.owner(pe, badNodeEvent);
+            ar.u64(ctxId);
+            if constexpr (Ar::loading) {
+                if (ar.ok())
+                    pe->mc_->eventCtx(ar, ctxId);
+            }
         }
     };
 
@@ -191,51 +210,6 @@ class PEngine : public ProtocolAgent
         ar.u64(busyTicks_);
         ar.obj(dcache_, icache_, instructions, pairedIssues, dcacheHits,
                dcacheMisses, dcacheWritebacks, icacheMisses, handlers);
-    }
-
-    static void
-    registerSnapEvents(snap::EventCodec &codec,
-                       std::function<PEngine *(NodeId)> resolve)
-    {
-        auto pe_of = [resolve](snap::Des &in) -> PEngine * {
-            NodeId n = in.u16();
-            PEngine *pe = resolve(n);
-            if (pe == nullptr)
-                in.fail("snapshot references an unknown protocol engine");
-            return pe;
-        };
-        codec.add(snap::evPeIcacheFill,
-                  [pe_of](snap::Des &in) -> InlineCallback {
-                      PEngine *pe = pe_of(in);
-                      std::uint64_t resume = in.u64();
-                      if (pe == nullptr)
-                          return {};
-                      return IcacheFillEv{pe, resume};
-                  });
-        codec.add(snap::evPeDcacheFill,
-                  [pe_of](snap::Des &in) -> InlineCallback {
-                      PEngine *pe = pe_of(in);
-                      if (pe == nullptr)
-                          return {};
-                      return DcacheFillEv{pe};
-                  });
-        codec.add(snap::evPeSendRelease,
-                  [pe_of](snap::Des &in) -> InlineCallback {
-                      PEngine *pe = pe_of(in);
-                      std::uint64_t id = in.u64();
-                      std::uint32_t send_idx = in.u32();
-                      if (pe == nullptr)
-                          return {};
-                      return SendReleaseEv{pe, id, send_idx};
-                  });
-        codec.add(snap::evPeHandlerDone,
-                  [pe_of](snap::Des &in) -> InlineCallback {
-                      PEngine *pe = pe_of(in);
-                      std::uint64_t id = in.u64();
-                      if (pe == nullptr)
-                          return {};
-                      return HandlerDoneEv{pe, id};
-                  });
     }
 
   private:

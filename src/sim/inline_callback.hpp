@@ -66,9 +66,10 @@ class InlineCallback
         std::is_nothrow_move_constructible_v<F>;
 
     /**
-     * Is @p F a named snapshot-serializable functor (kSnapId +
-     * snapEncode)? Such callbacks survive Machine::save/restore; plain
-     * lambdas do not and make a containing snapshot fail loudly.
+     * Is @p F a named snapshot-serializable functor (kSnapId + io(),
+     * snap/event_codec.hpp)? Such callbacks survive Machine::save and
+     * restore; plain lambdas do not and make a containing snapshot fail
+     * loudly.
      */
     template <typename F>
     static constexpr bool isSnappable = detail::IsSnapCallback<F>::value;
@@ -150,7 +151,7 @@ class InlineCallback
 
     /** Encode the payload of a snappable callback (snapId() != 0). */
     void
-    snapEncode(snap::Ser &out) const
+    encode(snap::Ser &out) const
     {
         ops_->encode(buf_, out);
     }
@@ -190,13 +191,15 @@ class InlineCallback
     encodeFnOf()
     {
         if constexpr (isSnappable<Fn>) {
+            // Saving only reads through io(), so the payload may be
+            // cast mutable here (as snap::Ser::obj does).
             return [](const unsigned char *buf, snap::Ser &out) {
                 if constexpr (Inline) {
-                    std::launder(reinterpret_cast<const Fn *>(buf))
-                        ->snapEncode(out);
+                    const_cast<Fn *>(
+                        std::launder(reinterpret_cast<const Fn *>(buf)))
+                        ->io(out);
                 } else {
-                    (*reinterpret_cast<Fn *const *>(buf))
-                        ->snapEncode(out);
+                    (*reinterpret_cast<Fn *const *>(buf))->io(out);
                 }
             };
         } else {

@@ -4,18 +4,26 @@
  *
  * Closures cannot be serialized, so every callback that can be *stored*
  * across a snapshot point — event-queue entries, MSHR waiter lists,
- * pending protocol completions — is a named functor struct with
+ * pending protocol completions — is a named functor struct that, like
+ * any component, describes its payload once:
  *
  *   static constexpr std::uint32_t kSnapId = snap::ev...;
- *   void operator()() const;              // the behaviour
- *   void snapEncode(snap::Ser &) const;   // POD payload (uids, msgs)
+ *   void operator()() const;               // the behaviour
+ *   template <class Ar> void io(Ar &ar);   // owner, then payload
  *
- * InlineCallback detects kSnapId/snapEncode and exposes them through
- * its vtable; EventCodec maps the ids back to decoders registered by
- * Machine::restore against the freshly constructed component graph.
- * Saving a machine whose queues hold a *non*-snappable callback fails
- * loudly — silent state loss is the one bug a checkpoint subsystem must
- * never have.
+ * io() names the component the event acts on with ar.owner(ptr, why)
+ * (snap/snap.hpp): saving writes its node id, restoring resolves the id
+ * through the owner resolvers EventCodec carries for the freshly built
+ * machine. Fields that restore derives (a DynInst pointer from its uid)
+ * and the range checks a hostile payload must fail live in
+ * `if constexpr (Ar::loading)` blocks.
+ *
+ * InlineCallback detects kSnapId and encodes through io(Ser &);
+ * Machine::restore registers every event type plus one resolver per
+ * owner type, and the codec decodes an id by default-constructing that
+ * type and running io(Des &). Saving a machine whose queues hold a
+ * *non*-snappable callback fails loudly — silent state loss is the one
+ * bug a checkpoint subsystem must never have.
  */
 
 #ifndef SMTP_SNAP_EVENT_CODEC_HPP
@@ -23,9 +31,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <typeindex>
 #include <unordered_map>
 
 #include "common/log.hpp"
+#include "common/types.hpp"
 #include "sim/inline_callback.hpp"
 #include "snap/snap.hpp"
 
@@ -64,14 +74,11 @@ enum EventId : std::uint32_t
     evCpuTick = 40,
     evCpuCompleteInst = 41,
     evCpuFetchDone = 42,
-    evCpuLoadStages = 43,
     evCpuTlbRetry = 44,
     evCpuSbDrain = 45,
     evCpuProtoSbDrain = 46,
     evCpuLoadFill = 47,
-    evCpuStoreFill = 48,
-    evCpuIFill = 49,
-    evCpuExecDone = 50,
+    // 43, 48, 49 and 50 are retired: never reuse them.
 
     // Protocol engine (embedded PP models).
     evPeIcacheFill = 60,
@@ -84,20 +91,45 @@ enum EventId : std::uint32_t
 };
 
 /**
- * Decoder registry: Machine::restore registers one decoder per event
- * kind, closed over the freshly constructed component graph, and hands
- * it to every section's Des, whose cb() decodes the event queue's and
- * every waiter list's callbacks through it.
+ * Decoder registry: Machine::restore registers every event type and one
+ * owner resolver per component type against the freshly constructed
+ * component graph, and hands the codec to every section's Des, whose
+ * cb() decodes the event queue's and every waiter list's callbacks
+ * through it.
  */
 class EventCodec
 {
   public:
-    using Decoder = std::function<InlineCallback(Des &)>;
-
+    /** Decode each type in @p Ev by its kSnapId. */
+    template <typename... Ev>
     void
-    add(std::uint32_t id, Decoder d)
+    add()
     {
-        decoders_[id] = std::move(d);
+        ((decoders_[Ev::kSnapId] = &decodeAs<Ev>), ...);
+    }
+
+    /**
+     * Resolve event owners of type @p T: @p f maps a node id to the
+     * component, nullptr for an unknown node. A machine-wide owner (no
+     * nodeId(), see PerNodeOwner) is resolved with node 0.
+     */
+    template <typename T>
+    void
+    owner(std::function<T *(NodeId)> f)
+    {
+        owners_[typeid(T)] = [f = std::move(f)](NodeId n) -> void * {
+            return f(n);
+        };
+    }
+
+    /** The owner of type @p T on node @p n; nullptr when none. */
+    template <typename T>
+    T *
+    resolve(NodeId n) const
+    {
+        auto it = owners_.find(typeid(T));
+        return it == owners_.end() ? nullptr
+                                   : static_cast<T *>(it->second(n));
     }
 
     /** Read one id + payload back into a live callback. */
@@ -116,7 +148,20 @@ class EventCodec
     }
 
   private:
-    std::unordered_map<std::uint32_t, Decoder> decoders_;
+    template <typename Ev>
+    static InlineCallback
+    decodeAs(Des &in)
+    {
+        Ev ev{};
+        ev.io(in);
+        if (!in.ok())
+            return {};
+        return ev;
+    }
+
+    std::unordered_map<std::uint32_t, InlineCallback (*)(Des &)> decoders_;
+    std::unordered_map<std::type_index, std::function<void *(NodeId)>>
+        owners_;
 };
 
 /**
@@ -136,14 +181,34 @@ Ser::cb(const InlineCallback &c)
                 "cannot snapshot: a pending callback has no snap "
                 "id (unconverted schedule site)");
     u32(id);
-    c.snapEncode(*this);
+    c.encode(*this);
 }
 
 inline void
 Des::cb(InlineCallback &c)
 {
     SMTP_ASSERT(codec_ != nullptr, "decoding a callback without a codec");
+    if (cbDepth_ == maxCallbackNesting) {
+        fail("corrupt snapshot: callback nesting too deep");
+        c = nullptr;
+        return;
+    }
+    ++cbDepth_;
     c = codec_->decode(*this);
+    --cbDepth_;
+}
+
+template <typename T>
+void
+Des::owner(T *&p, const char *why)
+{
+    NodeId n = 0;
+    if constexpr (PerNodeOwner<T>)
+        n = u16();
+    SMTP_ASSERT(codec_ != nullptr, "resolving an owner without a codec");
+    p = ok() ? codec_->resolve<T>(n) : nullptr;
+    if (p == nullptr)
+        fail(why);
 }
 
 } // namespace smtp::snap

@@ -41,6 +41,14 @@ namespace smtp::snap
 
 class EventCodec;
 
+/**
+ * An event owner with a node id (CPU, cache, controller, protocol
+ * engine) goes on the wire as that id; one without (the network) is
+ * machine-wide and costs no bytes.
+ */
+template <typename T>
+concept PerNodeOwner = requires(const T &t) { t.nodeId(); };
+
 /*
  * Ser and Des share one field-op vocabulary, so a component describes
  * its state once, in `template <class Ar> void io(Ar &ar)`, and the
@@ -66,6 +74,10 @@ class EventCodec;
  *   ar.wordMap(m)              sparse u64 -> u64 map
  *   ar.obj(x, ...)             nested values, each through x.io(ar)
  *   ar.cb(callback)            event id + payload (snap/event_codec.hpp)
+ *   ar.owner(ptr, why)         the component an event acts on: a u16
+ *                              node id for a PerNodeOwner, nothing for
+ *                              a machine-wide one; Des resolves it
+ *                              through the codec or fails with why
  *
  * Restore-only validation lives in `if constexpr (Ar::loading)` blocks
  * inside io(); ok() is constantly true on a Ser so guards read the same
@@ -206,6 +218,14 @@ class Ser
 
     /** Defined in snap/event_codec.hpp. */
     void cb(const InlineCallback &c);
+
+    template <typename T>
+    void
+    owner(T *p, const char * = nullptr)
+    {
+        if constexpr (PerNodeOwner<T>)
+            u16(p->nodeId());
+    }
 
     std::size_t size() const { return buf_.size(); }
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
@@ -440,8 +460,21 @@ class Des
         (v.io(*this), ...);
     }
 
+    /**
+     * Deepest callback nesting cb() decodes. The simulator nests at
+     * most two deep (a bypass-bus crossing carrying the fill it
+     * completes); the bound keeps a crafted chain from recursing the
+     * decoder off the stack.
+     */
+    static constexpr unsigned maxCallbackNesting = 4;
+
     /** Defined in snap/event_codec.hpp. */
     void cb(InlineCallback &c);
+
+    /** Defined in snap/event_codec.hpp. */
+    template <typename T>
+    void owner(T *&p,
+               const char *why = "snapshot event names an unknown owner");
 
   private:
     template <typename W>
@@ -489,6 +522,7 @@ class Des
     bool ok_ = true;
     std::string err_;
     const EventCodec *codec_ = nullptr;
+    unsigned cbDepth_ = 0;
 };
 
 /** A component whose complete mutable state round-trips through Ser/Des. */

@@ -19,6 +19,7 @@
 
 #include "machine/machine.hpp"
 #include "sim/stats.hpp"
+#include "snap/event_codec.hpp"
 #include "snap/snap.hpp"
 #include "snap/snapfile.hpp"
 #include "trace/trace.hpp"
@@ -501,6 +502,119 @@ TEST(MachineSnap, CorruptAndTruncatedImagesRejected)
     // (A flip in stats payload can decode to a legal value; rejection
     // is only guaranteed for structural fields. No-crash is the
     // contract, checked by running this test at all under ASan.)
+}
+
+/**
+ * @p img with one more shard-0 event-queue entry, due at the current
+ * tick, whose callback is encoded as @p cb (id + payload): a crafted
+ * snapshot that frames and hashes like a real one.
+ */
+std::vector<std::uint8_t>
+withExtraEvent(const std::vector<std::uint8_t> &img,
+               const std::vector<std::uint8_t> &cb)
+{
+    snap::SnapReader r;
+    EXPECT_TRUE(r.parse(img)) << r.error();
+    snap::SnapWriter w(r.configHash());
+    for (const auto &sec : r.sections()) {
+        snap::Ser &out = w.beginSection(sec.name);
+        const std::uint8_t *p = img.data() + sec.offset;
+        std::size_t head = 0;
+        if (sec.name == "shard0.eventq") {
+            snap::Des in(p, sec.length);
+            std::uint64_t cur = in.u64();
+            out.u64(cur);
+            out.u64(in.u64()); // seq
+            out.u64(in.u64()); // executed
+            out.u64(in.u64() + 1);
+            out.u64(cur);
+            out.i8(0);
+            out.u64(0);
+            out.raw(cb.data(), cb.size());
+            head = in.pos();
+        }
+        out.raw(p + head, sec.length - head);
+        w.endSection();
+    }
+    return w.finish();
+}
+
+/** Restore @p cb spliced into a mid-run Base image; the diagnostic. */
+std::string
+restoreWithExtraEvent(const std::vector<std::uint8_t> &cb)
+{
+    SnapSim a(MachineModel::Base);
+    a.machine->runUntil(50 * tickPerUs);
+    SnapSim b(MachineModel::Base);
+    std::string err;
+    EXPECT_FALSE(b.machine->restoreImage(
+        withExtraEvent(a.machine->saveImage(), cb), &err));
+    return err;
+}
+
+std::string
+restoreWithExtraEvent(const InlineCallback &ev)
+{
+    snap::Ser s;
+    s.cb(ev);
+    return restoreWithExtraEvent(s.buffer());
+}
+
+TEST(MachineSnap, DeepCallbackNestingRejected)
+{
+    // Bypass-bus crossings each carrying the next: 64 levels, and the
+    // 100,000 (1.5 MB) that once recursed the decoder off the stack.
+    for (int depth : {64, 100000}) {
+        snap::Ser chain;
+        for (int i = 0; i < depth; ++i) {
+            chain.u32(snap::evMcBypassDone);
+            chain.u16(0);      // node
+            chain.u64(0x1000); // addr
+            chain.b(false);    // write
+        }
+        chain.u32(snap::evNull);
+        std::string err = restoreWithExtraEvent(chain.buffer());
+        EXPECT_NE(err.find("callback nesting too deep"), std::string::npos)
+            << depth << ": " << err;
+    }
+}
+
+TEST(MachineSnap, NetRetryForUnknownNodeRejected)
+{
+    std::string err = restoreWithExtraEvent(Network::RetryEv{nullptr, 2, 0});
+    EXPECT_NE(err.find("network retry for an unknown landing buffer"),
+              std::string::npos)
+        << err;
+}
+
+TEST(MachineSnap, NetLandForUnknownNodeRejected)
+{
+    proto::Message m;
+    m.addr = 0x1000;
+    m.src = 0;
+    m.dest = 2;
+    m.requester = 0;
+    std::string err = restoreWithExtraEvent(Network::LandEv{nullptr, m});
+    EXPECT_NE(err.find("network message for an unknown node"),
+              std::string::npos)
+        << err;
+}
+
+TEST(MachineSnap, EventForDeadTransactionRejected)
+{
+    SnapSim a(MachineModel::Base);
+    MemController *mc = a.machine->node(0).mc.get();
+    PEngine *pe = a.machine->node(0).pengine.get();
+    std::uint64_t dead = 1ULL << 40;
+    for (const InlineCallback &ev :
+         {InlineCallback(MemController::CtxMemDoneEv{mc, dead}),
+          InlineCallback(PEngine::SendReleaseEv{pe, dead, 0}),
+          InlineCallback(PEngine::HandlerDoneEv{pe, dead})}) {
+        std::string err = restoreWithExtraEvent(ev);
+        EXPECT_NE(err.find("event for an unknown transaction"),
+                  std::string::npos)
+            << err;
+    }
 }
 
 TEST(MachineSnap, SaveToFileAndRestore)
