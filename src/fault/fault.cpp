@@ -1,7 +1,10 @@
 #include "fault/fault.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "common/log.hpp"
 
@@ -11,25 +14,36 @@ namespace smtp::fault
 namespace
 {
 
-void
-appendField(std::string &s, const char *key, double v)
+/**
+ * One spec value into @p v: a rate must be finite and in [0, 1]; any
+ * other value is decimal digits only, stored times @p unit, and must
+ * fit T.
+ */
+template <class T>
+bool
+parseValue(const std::string &s, Tick unit, T &v)
 {
-    if (v <= 0.0)
-        return;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ",%s=%g", key, v);
-    s += buf;
-}
-
-void
-appendTickNs(std::string &s, const char *key, Tick v, Tick dflt)
-{
-    if (v == dflt)
-        return;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ",%s=%llu", key,
-                  static_cast<unsigned long long>(v / tickPerNs));
-    s += buf;
+    if constexpr (std::is_floating_point_v<T>) {
+        char *end = nullptr;
+        double d = std::strtod(s.c_str(), &end);
+        if (end == s.c_str() || *end != '\0' || !std::isfinite(d) ||
+            d < 0.0 || d > 1.0)
+            return false;
+        v = d;
+    } else {
+        std::uint64_t max = std::numeric_limits<T>::max() / unit;
+        std::uint64_t n = 0;
+        if (s.empty())
+            return false;
+        for (char c : s) {
+            auto d = static_cast<std::uint64_t>(c - '0');
+            if (c < '0' || c > '9' || d > max || n > (max - d) / 10)
+                return false;
+            n = n * 10 + d;
+        }
+        v = static_cast<T>(n * unit);
+    }
+    return true;
 }
 
 } // namespace
@@ -37,24 +51,22 @@ appendTickNs(std::string &s, const char *key, Tick v, Tick dflt)
 std::string
 FaultPlan::toString() const
 {
-    char head[64];
-    std::snprintf(head, sizeof(head), "seed=%llu",
-                  static_cast<unsigned long long>(seed));
-    std::string s = head;
-    appendField(s, "drop", netDrop);
-    appendField(s, "dup", netDup);
-    appendField(s, "delay", netDelay);
-    appendField(s, "reorder", netReorder);
-    FaultPlan dflt;
-    appendTickNs(s, "delaymax", netDelayMax, dflt.netDelayMax);
-    appendTickNs(s, "timeout", retransmitTimeout, dflt.retransmitTimeout);
-    if (maxRetransmits != dflt.maxRetransmits)
-        s += ",maxretx=" + std::to_string(maxRetransmits);
-    appendField(s, "flip", memFlipSingle);
-    appendField(s, "flip2", memFlipDouble);
-    appendField(s, "nak", forceNak);
-    if (injectDropWithoutRetransmit)
-        s += ",droploss=1";
+    std::string s = "seed=" + std::to_string(seed);
+    const FaultPlan dflt;
+    keys([&](const char *key, auto m, Tick unit) {
+        if (this->*m == dflt.*m)
+            return;
+        s += ',';
+        s += key;
+        s += '=';
+        if constexpr (std::is_same_v<decltype(m), double FaultPlan::*>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%g", this->*m);
+            s += buf;
+        } else {
+            s += std::to_string(static_cast<std::uint64_t>(this->*m) / unit);
+        }
+    });
     return s;
 }
 
@@ -80,37 +92,18 @@ FaultPlan::parse(const std::string &spec, FaultPlan &out, std::string *err)
             return fail("expected key=value, got '" + item + "'");
         std::string key = item.substr(0, eq);
         std::string val = item.substr(eq + 1);
-        char *end = nullptr;
-        double d = std::strtod(val.c_str(), &end);
-        if (end == val.c_str() || *end != '\0')
-            return fail("bad value '" + val + "' for key '" + key + "'");
-        if (key == "seed") {
-            plan.seed = static_cast<std::uint64_t>(d);
-        } else if (key == "drop") {
-            plan.netDrop = d;
-        } else if (key == "dup") {
-            plan.netDup = d;
-        } else if (key == "delay") {
-            plan.netDelay = d;
-        } else if (key == "reorder") {
-            plan.netReorder = d;
-        } else if (key == "delaymax") {
-            plan.netDelayMax = static_cast<Tick>(d) * tickPerNs;
-        } else if (key == "timeout") {
-            plan.retransmitTimeout = static_cast<Tick>(d) * tickPerNs;
-        } else if (key == "maxretx") {
-            plan.maxRetransmits = static_cast<unsigned>(d);
-        } else if (key == "flip") {
-            plan.memFlipSingle = d;
-        } else if (key == "flip2") {
-            plan.memFlipDouble = d;
-        } else if (key == "nak") {
-            plan.forceNak = d;
-        } else if (key == "droploss") {
-            plan.injectDropWithoutRetransmit = d != 0.0;
-        } else {
+        bool known = key == "seed";
+        bool ok = known && parseValue(val, 1, plan.seed);
+        keys([&](const char *k, auto m, Tick unit) {
+            if (key == k) {
+                known = true;
+                ok = parseValue(val, unit, plan.*m);
+            }
+        });
+        if (!known)
             return fail("unknown fault-plan key '" + key + "'");
-        }
+        if (!ok)
+            return fail("bad value '" + val + "' for key '" + key + "'");
     }
     out = plan;
     return true;
@@ -163,20 +156,15 @@ parseRetryPolicy(const std::string &spec, RetryPolicyConfig &out,
         cfg.kind = RetryKind::ExpBackoff;
     else
         return fail("unknown retry policy '" + kind + "'");
-    if (!rest.empty()) {
+    if (colon != std::string::npos) {
         std::size_t c2 = rest.find(':');
-        std::string base_s = rest.substr(0, c2);
-        std::uint64_t base_ns = std::strtoull(base_s.c_str(), nullptr, 10);
-        if (base_ns == 0)
+        if (!parseValue(rest.substr(0, c2), tickPerNs, cfg.base) ||
+            cfg.base == 0)
             return fail("retry base must be a positive ns count");
-        cfg.base = static_cast<Tick>(base_ns) * tickPerNs;
-        if (c2 != std::string::npos) {
-            std::uint64_t cap_ns =
-                std::strtoull(rest.c_str() + c2 + 1, nullptr, 10);
-            if (cap_ns == 0)
-                return fail("retry cap must be a positive ns count");
-            cfg.cap = static_cast<Tick>(cap_ns) * tickPerNs;
-        }
+        if (c2 != std::string::npos &&
+            (!parseValue(rest.substr(c2 + 1), tickPerNs, cfg.cap) ||
+             cfg.cap == 0))
+            return fail("retry cap must be a positive ns count");
     }
     out = cfg;
     return true;

@@ -104,18 +104,44 @@ struct FaultPlan
     }
 
     /**
+     * Every spec key after seed, in canonical order, as f(key, member,
+     * unit): member points into FaultPlan, and an integer member holds
+     * its spec value times unit (tickPerNs for the ns keys). parse(),
+     * toString() and the machine config hash walk this one list.
+     */
+    template <class F>
+    static void
+    keys(F &&f)
+    {
+        f("drop", &FaultPlan::netDrop, Tick{1});
+        f("dup", &FaultPlan::netDup, Tick{1});
+        f("delay", &FaultPlan::netDelay, Tick{1});
+        f("reorder", &FaultPlan::netReorder, Tick{1});
+        f("delaymax", &FaultPlan::netDelayMax, tickPerNs);
+        f("timeout", &FaultPlan::retransmitTimeout, tickPerNs);
+        f("maxretx", &FaultPlan::maxRetransmits, Tick{1});
+        f("flip", &FaultPlan::memFlipSingle, Tick{1});
+        f("flip2", &FaultPlan::memFlipDouble, Tick{1});
+        f("nak", &FaultPlan::forceNak, Tick{1});
+        f("droploss", &FaultPlan::injectDropWithoutRetransmit, Tick{1});
+    }
+
+    /**
      * Canonical spec string (parse(toString()) round-trips), e.g.
      * "seed=42,drop=0.01,dup=0.01,delay=0.02,flip=0.001,nak=0.02".
      * Emitted into bench --json records so a chaotic run is
-     * reproducible from the JSON alone.
+     * reproducible from the JSON alone. Keys at their default are
+     * left out, except seed, which always leads.
      */
     std::string toString() const;
 
     /**
      * Parse a comma-separated key=value spec. Keys: seed, drop, dup,
      * delay, delaymax (ns), reorder, timeout (ns), maxretx, flip,
-     * flip2, nak, droploss. False (with *err set) on unknown keys or
-     * malformed values.
+     * flip2, nak, droploss. Rates (drop, dup, delay, reorder, flip,
+     * flip2, nak) must be finite and in [0, 1]; the rest are decimal
+     * digits only, in range (droploss is 0 or 1). False (with *err
+     * set) on unknown keys or malformed values.
      */
     static bool parse(const std::string &spec, FaultPlan &out,
                       std::string *err = nullptr);
@@ -150,7 +176,9 @@ Tick retryBackoff(const RetryPolicyConfig &cfg, unsigned k, Rng &rng);
 
 /**
  * Parse "immediate" | "fixed[:baseNs]" | "exp[:baseNs[:capNs]]" into
- * @p out (starvationRetries is left untouched).
+ * @p out (starvationRetries is left untouched). The ns counts are
+ * positive decimal digits whose tick value fits a Tick; anything else
+ * in the string is an error.
  */
 bool parseRetryPolicy(const std::string &spec, RetryPolicyConfig &out,
                       std::string *err = nullptr);

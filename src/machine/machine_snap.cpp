@@ -23,6 +23,7 @@
 #include "machine.hpp"
 
 #include <string>
+#include <type_traits>
 
 namespace smtp
 {
@@ -68,17 +69,12 @@ machineConfigHash(const MachineParams &p)
 
     const fault::FaultPlan &fp = p.faults;
     h.mix(fp.seed);
-    h.mixF(fp.netDrop);
-    h.mixF(fp.netDup);
-    h.mixF(fp.netDelay);
-    h.mixF(fp.netReorder);
-    h.mix(fp.netDelayMax);
-    h.mix(fp.retransmitTimeout);
-    h.mix(fp.maxRetransmits);
-    h.mixF(fp.memFlipSingle);
-    h.mixF(fp.memFlipDouble);
-    h.mixF(fp.forceNak);
-    h.mix(static_cast<std::uint64_t>(fp.injectDropWithoutRetransmit));
+    fault::FaultPlan::keys([&](const char *, auto m, Tick) {
+        if constexpr (std::is_same_v<decltype(m), double fault::FaultPlan::*>)
+            h.mixF(fp.*m);
+        else
+            h.mix(static_cast<std::uint64_t>(fp.*m));
+    });
 
     const fault::RetryPolicyConfig &rp = p.retryPolicy;
     h.mix(static_cast<std::uint64_t>(rp.kind));
@@ -99,6 +95,7 @@ Machine::buildEventCodec()
 {
     using MC = MemController;
     snap::EventCodec codec;
+    codec.numNodes = params_.nodes;
     codec.add<Network::LandEv, Network::HopEv, Network::RetryEv,
               CacheHierarchy::DrainEv, CacheHierarchy::BypassFillEv,
               MC::PokeEv, MC::DispatchPollEv, MC::CtxMemDoneEv,

@@ -270,7 +270,10 @@ class Network
 
     unsigned routerOf(NodeId n) const { return n / params_.nodesPerRouter; }
 
-    /** Restore-time check that an in-flight message names a real node. */
+    /**
+     * Restore-time check that an in-flight message has a destination:
+     * Message::io admits an idle message, which names no node.
+     */
     void
     checkDest(snap::Des &in, const proto::Message &m) const
     {

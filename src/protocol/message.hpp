@@ -15,6 +15,7 @@
 #define SMTP_PROTOCOL_MESSAGE_HPP
 
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 
 #include "common/types.hpp"
@@ -149,6 +150,16 @@ struct Message
         ar.u16(src);
         ar.u16(dest);
         ar.u16(requester);
+        if constexpr (Ar::loading) {
+            // An idle (default-constructed) message names no node;
+            // any other names only nodes of this machine.
+            if (src != invalidNode || dest != invalidNode ||
+                requester != invalidNode) {
+                for (NodeId n : {src, dest, requester})
+                    ar.checkNode(n, "corrupt snapshot: network message "
+                                    "for an unknown node");
+            }
+        }
         ar.u8(mshr);
         ar.u16(ackCount);
         ar.u8(flags);

@@ -1,8 +1,11 @@
 #include "serve/proto.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <type_traits>
 
 #include "common/bits.hpp"
 
@@ -20,6 +23,9 @@ failParse(std::string *err, const std::string &msg)
     return false;
 }
 
+/** 2^53: every integer up to here is exact in a double. */
+constexpr double kMaxExactDouble = 9007199254740992.0;
+
 /**
  * Fetch a non-negative integral member. Numbers arrive as doubles;
  * anything fractional, negative, or beyond 2^53 is rejected rather
@@ -36,7 +42,7 @@ getUint(const JsonValue &obj, const char *key, std::uint64_t &out,
         return failParse(err, std::string("field '") + key +
                                   "' must be a number");
     double d = v->number();
-    if (d < 0 || d != std::floor(d) || d > 9007199254740992.0)
+    if (d < 0 || d != std::floor(d) || d > kMaxExactDouble)
         return failParse(err, std::string("field '") + key +
                                   "' must be a non-negative integer");
     out = static_cast<std::uint64_t>(d);
@@ -68,6 +74,24 @@ getStringStrict(const JsonValue &obj, const char *key, std::string &out,
         return failParse(err, std::string("field '") + key +
                                   "' must be a string");
     out = v->str();
+    return true;
+}
+
+/**
+ * @p m as a number; unless @p real, also whole, in [lo, hi] and exact
+ * in a double. False when absent, mistyped or out of range.
+ */
+bool
+readNumber(const JsonValue *m, bool real, double lo, double hi,
+           double &out)
+{
+    if (m == nullptr || !m->isNumber())
+        return false;
+    double d = m->number();
+    if (!real && (d != std::floor(d) || d < lo ||
+                  d > std::min(hi, kMaxExactDouble)))
+        return false;
+    out = d;
     return true;
 }
 
@@ -126,85 +150,45 @@ JsonValue
 resultToJson(const RunResult &r)
 {
     JsonValue v = JsonValue::makeObject();
-    auto num = [](double d) { return JsonValue::makeNumber(d); };
-    auto u64 = [&num](std::uint64_t x) {
-        return num(static_cast<double>(x));
+    auto put = [&v](const char *key, const auto &x, RunResult::Group,
+                    RunResult::Fmt) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(x)>, bool>)
+            v.set(key, JsonValue::makeBool(x));
+        else
+            v.set(key, JsonValue::makeNumber(static_cast<double>(x)));
     };
-    v.set("exec_ticks", u64(r.execTime));
-    v.set("mem_stall", num(r.memStallFraction));
-    v.set("peak_proto_occ", num(r.peakProtocolOccupancy));
-    v.set("proto_br_mis", num(r.protoBranchMispredict));
-    v.set("proto_squash_pct", num(r.protoSquashCyclePct));
-    v.set("proto_retired_pct", num(r.protoRetiredPct));
-    v.set("peak_branch_stack", u64(r.peakBranchStack));
-    v.set("peak_int_regs", u64(r.peakIntRegs));
-    v.set("peak_int_queue", u64(r.peakIntQueue));
-    v.set("peak_lsq", u64(r.peakLsq));
-    v.set("faults_injected", u64(r.faultsInjected));
-    v.set("faults_recovered", u64(r.faultsRecovered));
-    v.set("sampled", JsonValue::makeBool(r.sampled));
-    v.set("samples", num(r.sampleCount));
-    v.set("ipc_mean", num(r.ipcMean));
-    v.set("ipc_ci95", num(r.ipcCi95));
-    v.set("memstall_mean", num(r.memStallMean));
-    v.set("memstall_ci95", num(r.memStallCi95));
-    v.set("ckpt", num(r.ckpt));
-    v.set("exec_serialized", JsonValue::makeBool(r.execSerialized));
-    // Protocol-variant statistics travel only when any are non-zero so
-    // default-protocol result payloads keep their pre-variant shape.
-    if (r.migDetected || r.migSaved || r.migReverts || r.naks ||
-        r.invalsSent || r.phaseFloorTrips ||
-        r.reqQueueDelayMeanNs != 0.0) {
-        v.set("mig_detected", u64(r.migDetected));
-        v.set("mig_upgrades_saved", u64(r.migSaved));
-        v.set("mig_reverts", u64(r.migReverts));
-        v.set("naks", u64(r.naks));
-        v.set("invals", u64(r.invalsSent));
-        v.set("floor_trips", u64(r.phaseFloorTrips));
-        v.set("req_qdelay_mean_ns", num(r.reqQueueDelayMeanNs));
-        v.set("req_qdelay_p95_ns", num(r.reqQueueDelayP95Ns));
-    }
-    v.set("wall_ms", num(r.wallMs));
+    const_cast<RunResult &>(r).fields(put);
     return v;
 }
 
 RunResult
-resultFromJson(const JsonValue &v)
+resultFromJson(const JsonValue &v, bool *complete)
 {
     RunResult r;
-    auto u64 = [&v](const char *key, std::uint64_t dflt) {
-        double d = v.getNumber(key, static_cast<double>(dflt));
-        return d < 0 ? dflt : static_cast<std::uint64_t>(d);
+    bool all = true;
+    auto get = [&](const char *key, auto &x, RunResult::Group,
+                   RunResult::Fmt) {
+        using T = std::decay_t<decltype(x)>;
+        const JsonValue *m = v.find(key);
+        bool ok = false;
+        if constexpr (std::is_same_v<T, bool>) {
+            ok = m != nullptr && m->isBool();
+            if (ok)
+                x = m->boolean();
+        } else {
+            using L = std::numeric_limits<T>;
+            double d = 0.0;
+            ok = readNumber(m, std::is_floating_point_v<T>,
+                            static_cast<double>(L::lowest()),
+                            static_cast<double>(L::max()), d);
+            if (ok)
+                x = static_cast<T>(d);
+        }
+        all = all && ok;
     };
-    r.execTime = u64("exec_ticks", r.execTime);
-    r.memStallFraction = v.getNumber("mem_stall");
-    r.peakProtocolOccupancy = v.getNumber("peak_proto_occ");
-    r.protoBranchMispredict = v.getNumber("proto_br_mis");
-    r.protoSquashCyclePct = v.getNumber("proto_squash_pct");
-    r.protoRetiredPct = v.getNumber("proto_retired_pct");
-    r.peakBranchStack = u64("peak_branch_stack", 0);
-    r.peakIntRegs = u64("peak_int_regs", 0);
-    r.peakIntQueue = u64("peak_int_queue", 0);
-    r.peakLsq = u64("peak_lsq", 0);
-    r.faultsInjected = u64("faults_injected", 0);
-    r.faultsRecovered = u64("faults_recovered", 0);
-    r.sampled = v.getBool("sampled");
-    r.sampleCount = static_cast<unsigned>(v.getNumber("samples"));
-    r.ipcMean = v.getNumber("ipc_mean");
-    r.ipcCi95 = v.getNumber("ipc_ci95");
-    r.memStallMean = v.getNumber("memstall_mean");
-    r.memStallCi95 = v.getNumber("memstall_ci95");
-    r.ckpt = static_cast<int>(v.getNumber("ckpt", -1));
-    r.execSerialized = v.getBool("exec_serialized");
-    r.migDetected = u64("mig_detected", 0);
-    r.migSaved = u64("mig_upgrades_saved", 0);
-    r.migReverts = u64("mig_reverts", 0);
-    r.naks = u64("naks", 0);
-    r.invalsSent = u64("invals", 0);
-    r.phaseFloorTrips = u64("floor_trips", 0);
-    r.reqQueueDelayMeanNs = v.getNumber("req_qdelay_mean_ns");
-    r.reqQueueDelayP95Ns = v.getNumber("req_qdelay_p95_ns");
-    r.wallMs = v.getNumber("wall_ms");
+    r.fields(get);
+    if (complete != nullptr)
+        *complete = all;
     return r;
 }
 

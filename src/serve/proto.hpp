@@ -32,15 +32,20 @@ namespace smtp::serve
 JsonValue cellToJson(const RunConfig &cfg);
 
 /**
- * Structured form of a RunResult for a "cell" reply frame. Numbers are
- * re-serialized with %.17g (JsonValue::dump), which round-trips every
- * double exactly — the structured fields agree bit-for-bit with the
- * verbatim record that travels alongside them.
+ * Structured form of a RunResult for a "cell" reply frame and the
+ * result cache: every RunResult::fields() member under its key.
+ * Numbers are re-serialized with %.17g (JsonValue::dump), which
+ * round-trips every double exactly — the structured fields agree
+ * bit-for-bit with the verbatim record that travels alongside them.
  */
 JsonValue resultToJson(const RunResult &r);
 
-/** Inverse of resultToJson (tolerant: absent members keep defaults). */
-RunResult resultFromJson(const JsonValue &v);
+/**
+ * Inverse of resultToJson. Tolerant, so peers from before a field
+ * existed interoperate: an absent or mistyped member keeps its
+ * default. *complete (when given) says whether every field was read.
+ */
+RunResult resultFromJson(const JsonValue &v, bool *complete = nullptr);
 
 /**
  * Parse one cell object. False with *err on any unknown member, wrong

@@ -2,7 +2,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <memory>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -492,102 +495,72 @@ runOnce(const RunConfig &cfg)
 std::string
 jsonRecord(const RunConfig &c, const RunResult &r)
 {
-    // Fault fields are appended only for faulty cells so fault-free
-    // records stay byte-identical to pre-fault-subsystem output.
-    std::string fault_fields;
-    if (c.faults.enabled() || c.faults.injectDropWithoutRetransmit) {
-        char buf[256];
-        std::snprintf(
-            buf, sizeof(buf),
-            ",\"fault_seed\":%llu,\"faults\":\"%s\",\"retry\":\"%s\","
-            "\"faults_injected\":%llu,\"faults_recovered\":%llu",
-            static_cast<unsigned long long>(c.faults.seed),
-            c.faults.toString().c_str(),
-            fault::retryPolicyToString(c.retryPolicy).c_str(),
-            static_cast<unsigned long long>(r.faultsInjected),
-            static_cast<unsigned long long>(r.faultsRecovered));
-        fault_fields = buf;
-    }
-    // Protocol-variant fields appear only for non-default protocols,
-    // so every bitvector record (the entire pre-variant corpus,
-    // including the golden sweep JSONs) stays byte-identical.
-    std::string protocol_fields;
+    using G = RunResult::Group;
+    auto add = [](std::string &out,
+                  std::initializer_list<std::string_view> parts) {
+        for (std::string_view p : parts)
+            out += p;
+    };
+    // One walk renders `,"key":value` for each record field into its
+    // group's text; the groups are then joined in record order.
+    std::string group[static_cast<int>(G::Wire)];
+    auto put = [&](const char *key, auto &v, G g, RunResult::Fmt fmt) {
+        using T = std::decay_t<decltype(v)>;
+        if (g == G::Wire)
+            return;
+        std::string value;
+        if constexpr (std::is_same_v<T, bool>) {
+            value = v ? "true" : "false";
+        } else if constexpr (std::is_floating_point_v<T>) {
+            char buf[512]; // %.3f of the largest double: 313 chars.
+            std::snprintf(buf, sizeof(buf),
+                          fmt == RunResult::Fmt::F3 ? "%.3f" : "%.6f", v);
+            value = buf;
+        } else {
+            value = std::to_string(v);
+        }
+        add(group[static_cast<int>(g)], {",\"", key, "\":", value});
+    };
+    const_cast<RunResult &>(r).fields(put);
+    auto text = [&group](G g) -> std::string_view {
+        return group[static_cast<int>(g)];
+    };
+
+    std::string out;
+    add(out, {"{\"app\":\"", c.app, "\",\"model\":\"", modelName(c.model),
+              "\",\"nodes\":", std::to_string(c.nodes),
+              ",\"ways\":", std::to_string(c.ways), text(G::Always)});
+    // Each optional group below appears only for cells with that
+    // feature, so records without it (the golden sweep JSONs included)
+    // stay byte-identical to output from before the feature existed.
     if (c.protocol != proto::ProtocolKind::Bitvector) {
-        char buf[384];
-        std::snprintf(
-            buf, sizeof(buf),
-            ",\"protocol\":\"%s\",\"mig_detected\":%llu,"
-            "\"mig_upgrades_saved\":%llu,\"mig_reverts\":%llu,"
-            "\"naks\":%llu,\"invals\":%llu,\"floor_trips\":%llu,"
-            "\"req_qdelay_mean_ns\":%.3f,\"req_qdelay_p95_ns\":%.3f",
-            std::string(proto::protocolName(c.protocol)).c_str(),
-            static_cast<unsigned long long>(r.migDetected),
-            static_cast<unsigned long long>(r.migSaved),
-            static_cast<unsigned long long>(r.migReverts),
-            static_cast<unsigned long long>(r.naks),
-            static_cast<unsigned long long>(r.invalsSent),
-            static_cast<unsigned long long>(r.phaseFloorTrips),
-            r.reqQueueDelayMeanNs, r.reqQueueDelayP95Ns);
-        protocol_fields = buf;
+        add(out, {",\"protocol\":\"", proto::protocolName(c.protocol), "\"",
+                  text(G::Protocol)});
     }
-    // Server-workload fields appear only for the server family, so
-    // the six paper apps' records stay byte-identical to earlier
-    // output. All values are pure functions of simulated state:
+    if (c.faults.enabled() || c.faults.injectDropWithoutRetransmit) {
+        add(out, {",\"fault_seed\":", std::to_string(c.faults.seed),
+                  ",\"faults\":\"", c.faults.toString(), "\",\"retry\":\"",
+                  fault::retryPolicyToString(c.retryPolicy), "\"",
+                  text(G::Fault)});
+    }
+    // Server and sample values are pure functions of simulated state:
     // serial and parallel:T runs must produce the same bytes.
-    std::string server_fields;
-    if (r.server) {
-        char buf[320];
-        std::snprintf(
-            buf, sizeof(buf),
-            ",\"requests\":%llu,\"req_lat_mean_us\":%.3f,"
-            "\"req_lat_p50_us\":%.3f,\"req_lat_p95_us\":%.3f,"
-            "\"req_lat_p99_us\":%.3f,\"txn_commits\":%llu,"
-            "\"txn_aborts\":%llu,\"txn_fallbacks\":%llu",
-            static_cast<unsigned long long>(r.requests), r.reqLatMeanUs,
-            r.reqLatP50Us, r.reqLatP95Us, r.reqLatP99Us,
-            static_cast<unsigned long long>(r.txnCommits),
-            static_cast<unsigned long long>(r.txnAborts),
-            static_cast<unsigned long long>(r.txnFallbacks));
-        server_fields = buf;
-    }
-    // Sampled-measurement fields appear only in --sample runs, so
-    // full-run records stay byte-identical to earlier output.
-    std::string sample_fields;
-    if (r.sampled) {
-        char buf[256];
-        std::snprintf(
-            buf, sizeof(buf),
-            ",\"samples\":%u,\"ipc_mean\":%.6f,\"ipc_ci95\":%.6f,"
-            "\"memstall_mean\":%.6f,\"memstall_ci95\":%.6f",
-            r.sampleCount, r.ipcMean, r.ipcCi95, r.memStallMean,
-            r.memStallCi95);
-        sample_fields = buf;
-    }
+    if (r.server)
+        out += text(G::Server);
+    if (r.sampled)
+        out += text(G::Sample);
     // The exec field is ALWAYS present ("serial" included) so ingest —
     // diff scripts, the daemon's dedup — never special-cases its
     // absence. A full-mirror run that overrode a parallel request
     // additionally says so: the record must never read as parallel
     // when one host thread did the work.
-    std::string exec_field = ",\"exec\":\"" + c.exec.toString() + "\"";
+    add(out, {",\"exec\":\"", c.exec.toString(), "\""});
     if (r.execSerialized)
-        exec_field += ",\"exec_serialized\":true";
-    if (c.checkLevel != check::CheckLevel::Off) {
-        exec_field += ",\"check\":\"";
-        exec_field += checkLevelName(c.checkLevel);
-        exec_field += "\"";
-    }
-    char line[2048];
-    std::snprintf(
-        line, sizeof(line),
-        "{\"app\":\"%s\",\"model\":\"%s\",\"nodes\":%u,\"ways\":%u,"
-        "\"exec_ticks\":%llu,\"mem_stall\":%.6f%s%s%s%s%s,"
-        "\"wall_ms\":%.3f}",
-        c.app.c_str(), std::string(modelName(c.model)).c_str(), c.nodes,
-        c.ways, static_cast<unsigned long long>(r.execTime),
-        r.memStallFraction, protocol_fields.c_str(),
-        fault_fields.c_str(), server_fields.c_str(),
-        sample_fields.c_str(), exec_field.c_str(), r.wallMs);
-    return line;
+        out += text(G::Serialized);
+    if (c.checkLevel != check::CheckLevel::Off)
+        add(out, {",\"check\":\"", checkLevelName(c.checkLevel), "\""});
+    add(out, {text(G::Wall), "}"});
+    return out;
 }
 
 void

@@ -107,11 +107,33 @@ struct RunConfig
     SampleSpec sample; ///< Inactive = run to completion (default).
 };
 
+/**
+ * One cell's outcome. fields() names every member once, with its JSON
+ * key, the jsonRecord() group it prints in and its record format; the
+ * record writer, the smtpd wire (resultToJson/resultFromJson) and the
+ * daemon's result cache are all walks over that one list.
+ */
 struct RunResult
 {
+    /**
+     * Where a field appears in jsonRecord(): Always; Protocol, Fault,
+     * Server, Sample and Serialized only for cells with that feature
+     * (non-default protocol, fault plan, server app, sampled run,
+     * parallel request run serialized), so other records keep their
+     * bytes; Wall closes every record; Wire fields (Wire is last)
+     * stay out of it. Within a group, list order is record order.
+     */
+    enum class Group : std::uint8_t
+    {
+        Always, Protocol, Fault, Server, Sample, Serialized, Wall, Wire
+    };
+
+    /** Record format: Int (%llu, or true/false for a bool), %.3f, %.6f. */
+    enum class Fmt : std::uint8_t { Int, F3, F6 };
+
     Tick execTime = 0;
-    /** Committed app instructions (in-process runs only; not on the
-     *  wire — derived metrics like IPC use it with execTime). */
+    /** Committed app instructions (derived metrics like IPC use it
+     *  with execTime). */
     std::uint64_t committedInsts = 0;
     double memStallFraction = 0.0;
     double peakProtocolOccupancy = 0.0;
@@ -146,7 +168,7 @@ struct RunResult
     std::uint64_t txnAborts = 0;
     std::uint64_t txnFallbacks = 0;
     // Protocol-variant statistics (populated only when the cell runs a
-    // non-default protocol, so default records stay byte-identical).
+    // non-default protocol).
     std::uint64_t migDetected = 0;  ///< Migratory lines predicted.
     std::uint64_t migSaved = 0;     ///< Upgrade round-trips avoided.
     std::uint64_t migReverts = 0;   ///< False predictions reverted.
@@ -161,6 +183,53 @@ struct RunResult
     bool execSerialized = false;
     // Harness measurement (host time; not simulated state).
     double wallMs = 0.0;
+
+    /** Call f(key, member, group, fmt) once per field, in member order. */
+    template <class F>
+    void
+    fields(F &f)
+    {
+        using G = Group;
+        f("exec_ticks", execTime, G::Always, Fmt::Int);
+        f("committed_insts", committedInsts, G::Wire, Fmt::Int);
+        f("mem_stall", memStallFraction, G::Always, Fmt::F6);
+        f("peak_proto_occ", peakProtocolOccupancy, G::Wire, Fmt::F6);
+        f("proto_br_mis", protoBranchMispredict, G::Wire, Fmt::F6);
+        f("proto_squash_pct", protoSquashCyclePct, G::Wire, Fmt::F6);
+        f("proto_retired_pct", protoRetiredPct, G::Wire, Fmt::F6);
+        f("peak_branch_stack", peakBranchStack, G::Wire, Fmt::Int);
+        f("peak_int_regs", peakIntRegs, G::Wire, Fmt::Int);
+        f("peak_int_queue", peakIntQueue, G::Wire, Fmt::Int);
+        f("peak_lsq", peakLsq, G::Wire, Fmt::Int);
+        f("faults_injected", faultsInjected, G::Fault, Fmt::Int);
+        f("faults_recovered", faultsRecovered, G::Fault, Fmt::Int);
+        f("sampled", sampled, G::Wire, Fmt::Int);
+        f("samples", sampleCount, G::Sample, Fmt::Int);
+        f("ipc_mean", ipcMean, G::Sample, Fmt::F6);
+        f("ipc_ci95", ipcCi95, G::Sample, Fmt::F6);
+        f("memstall_mean", memStallMean, G::Sample, Fmt::F6);
+        f("memstall_ci95", memStallCi95, G::Sample, Fmt::F6);
+        f("server", server, G::Wire, Fmt::Int);
+        f("requests", requests, G::Server, Fmt::Int);
+        f("req_lat_mean_us", reqLatMeanUs, G::Server, Fmt::F3);
+        f("req_lat_p50_us", reqLatP50Us, G::Server, Fmt::F3);
+        f("req_lat_p95_us", reqLatP95Us, G::Server, Fmt::F3);
+        f("req_lat_p99_us", reqLatP99Us, G::Server, Fmt::F3);
+        f("txn_commits", txnCommits, G::Server, Fmt::Int);
+        f("txn_aborts", txnAborts, G::Server, Fmt::Int);
+        f("txn_fallbacks", txnFallbacks, G::Server, Fmt::Int);
+        f("mig_detected", migDetected, G::Protocol, Fmt::Int);
+        f("mig_upgrades_saved", migSaved, G::Protocol, Fmt::Int);
+        f("mig_reverts", migReverts, G::Protocol, Fmt::Int);
+        f("naks", naks, G::Protocol, Fmt::Int);
+        f("invals", invalsSent, G::Protocol, Fmt::Int);
+        f("floor_trips", phaseFloorTrips, G::Protocol, Fmt::Int);
+        f("req_qdelay_mean_ns", reqQueueDelayMeanNs, G::Protocol, Fmt::F3);
+        f("req_qdelay_p95_ns", reqQueueDelayP95Ns, G::Protocol, Fmt::F3);
+        f("ckpt", ckpt, G::Wire, Fmt::Int);
+        f("exec_serialized", execSerialized, G::Serialized, Fmt::Int);
+        f("wall_ms", wallMs, G::Wall, Fmt::F3);
+    }
 };
 
 /** "off" / "asserts" / "full" (the --check= vocabulary). */

@@ -207,8 +207,9 @@ Server::scanResultCache()
         std::uint64_t key;
         if (!parseHex64(name.substr(5, 16), key))
             continue;
-        // fsck: only files that parse, name their own key, and match
-        // their content checksum are trusted for verbatim replay.
+        // fsck: only files that parse, name their own key, match
+        // their content checksum and carry every RunResult field are
+        // trusted for verbatim replay.
         std::string record;
         RunResult result;
         if (loadCachedRecord(key, record, result)) {
@@ -267,8 +268,13 @@ Server::loadCachedRecord(std::uint64_t key, std::string &record,
     if (!parseHex64(v.getString("sum"), sum) ||
         sum != contentSum(rec->str(), res->dump()))
         return false;
+    // A file written before a RunResult field existed would replay
+    // that field as zero: re-simulate instead.
+    bool complete = false;
+    result = resultFromJson(*res, &complete);
+    if (!complete)
+        return false;
     record = rec->str();
-    result = resultFromJson(*res);
     return true;
 }
 

@@ -95,7 +95,8 @@ enum EventId : std::uint32_t
  * owner resolver per component type against the freshly constructed
  * component graph, and hands the codec to every section's Des, whose
  * cb() decodes the event queue's and every waiter list's callbacks
- * through it.
+ * through it. The codec also carries the machine's node count, so
+ * Des::checkNode() can reject a node id wherever one is restored.
  */
 class EventCodec
 {
@@ -131,6 +132,9 @@ class EventCodec
         return it == owners_.end() ? nullptr
                                    : static_cast<T *>(it->second(n));
     }
+
+    /** Node count restored node ids must stay below (Des::checkNode). */
+    unsigned numNodes = 0;
 
     /** Read one id + payload back into a live callback. */
     InlineCallback
@@ -196,6 +200,14 @@ Des::cb(InlineCallback &c)
     ++cbDepth_;
     c = codec_->decode(*this);
     --cbDepth_;
+}
+
+inline void
+Des::checkNode(std::uint32_t node, const char *why)
+{
+    SMTP_ASSERT(codec_ != nullptr, "checking a node id without a codec");
+    if (ok() && node >= codec_->numNodes)
+        fail(why);
 }
 
 template <typename T>

@@ -81,7 +81,8 @@ concept PerNodeOwner = requires(const T &t) { t.nodeId(); };
  *
  * Restore-only validation lives in `if constexpr (Ar::loading)` blocks
  * inside io(); ok() is constantly true on a Ser so guards read the same
- * in both directions.
+ * in both directions. Des::checkNode(id, why) fails unless id names a
+ * node of the machine being restored (the codec's node count).
  */
 
 class Ser
@@ -470,6 +471,9 @@ class Des
 
     /** Defined in snap/event_codec.hpp. */
     void cb(InlineCallback &c);
+
+    /** Defined in snap/event_codec.hpp. */
+    void checkNode(std::uint32_t node, const char *why);
 
     /** Defined in snap/event_codec.hpp. */
     template <typename T>

@@ -62,6 +62,41 @@ TEST(FaultPlan, UnknownKeyAndMalformedValueAreErrors)
     EXPECT_FALSE(fault::FaultPlan::parse("drop", p, &err));
 }
 
+TEST(FaultPlan, SpecValuesAreStrict)
+{
+    fault::FaultPlan p;
+    std::string err;
+    for (const char *bad :
+         {"seed=9007199254740993.0", "seed=18446744073709551616",
+          "seed=-1", "seed=+1", "seed=1e3", "seed=", "maxretx=-1",
+          "maxretx=4294967296", "delaymax=1.5", "timeout=1e30",
+          "timeout=18446744073709552", "drop=-0.5", "drop=nan",
+          "drop=inf", "drop=2", "nak=1.0000001", "droploss=2"}) {
+        EXPECT_FALSE(fault::FaultPlan::parse(bad, p, &err)) << bad;
+    }
+    // Exact at full 64-bit range, where a double would round.
+    ASSERT_TRUE(fault::FaultPlan::parse("seed=9007199254740993", p, &err))
+        << err;
+    EXPECT_EQ(p.seed, 9007199254740993ull);
+    ASSERT_TRUE(
+        fault::FaultPlan::parse("seed=18446744073709551615", p, &err))
+        << err;
+    EXPECT_EQ(p.seed, 18446744073709551615ull);
+    ASSERT_TRUE(fault::FaultPlan::parse(
+        "drop=0,dup=1,maxretx=4294967295,timeout=18446744073709551",
+        p, &err))
+        << err;
+    EXPECT_EQ(p.maxRetransmits, 4294967295u);
+    EXPECT_EQ(p.retransmitTimeout, 18446744073709551ull * tickPerNs);
+
+    fault::RetryPolicyConfig cfg;
+    for (const char *bad :
+         {"exp:100abc", "fixed:-5", "fixed:", "fixed:+5", "exp:50:",
+          "exp:50:3200:1", "exp:50:-1", "fixed:18446744073709552"}) {
+        EXPECT_FALSE(fault::parseRetryPolicy(bad, cfg, &err)) << bad;
+    }
+}
+
 TEST(FaultPlan, DefaultIsFullyDisabled)
 {
     fault::FaultPlan p;

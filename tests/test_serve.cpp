@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <sys/socket.h>
@@ -339,26 +341,102 @@ TEST(ServeProto, MalformedCellValuesAreRejected)
     reject("dir_cache_divisor", JsonValue::makeNumber(0));
 }
 
+/** Every RunResult field as (key, value), in list order. */
+std::vector<std::pair<std::string, double>>
+fieldValues(RunResult r)
+{
+    std::vector<std::pair<std::string, double>> out;
+    auto get = [&out](const char *key, auto &v, RunResult::Group,
+                      RunResult::Fmt) {
+        out.emplace_back(key, static_cast<double>(v));
+    };
+    r.fields(get);
+    return out;
+}
+
+/** fieldValues() less the host-side wall_ms and checkpoint outcome. */
+std::vector<std::pair<std::string, double>>
+simulatedValues(const RunResult &r)
+{
+    auto out = fieldValues(r);
+    std::erase_if(out, [](const auto &kv) {
+        return kv.first == "wall_ms" || kv.first == "ckpt";
+    });
+    return out;
+}
+
 TEST(ServeProto, ResultRoundTrip)
 {
+    // Every field on the list gets a distinct non-default value.
     RunResult r;
-    r.execTime = 123456789;
-    r.memStallFraction = 0.42;
-    r.sampled = true;
-    r.sampleCount = 7;
-    r.ipcMean = 1.25;
-    r.ckpt = 1;
-    r.execSerialized = true;
-    r.wallMs = 98.5;
-    RunResult back = resultFromJson(resultToJson(r));
-    EXPECT_EQ(back.execTime, r.execTime);
-    EXPECT_EQ(back.memStallFraction, r.memStallFraction);
-    EXPECT_TRUE(back.sampled);
-    EXPECT_EQ(back.sampleCount, r.sampleCount);
-    EXPECT_EQ(back.ipcMean, r.ipcMean);
-    EXPECT_EQ(back.ckpt, 1);
-    EXPECT_TRUE(back.execSerialized);
-    EXPECT_EQ(back.wallMs, r.wallMs);
+    double next = 1.0;
+    auto fill = [&next](const char *, auto &v, RunResult::Group,
+                        RunResult::Fmt) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, bool>)
+            v = true;
+        else if constexpr (std::is_floating_point_v<T>)
+            v = next + 0.125;
+        else
+            v = static_cast<T>(next);
+        next += 1.0;
+    };
+    r.fields(fill);
+    auto want = fieldValues(r);
+    auto dflt = fieldValues(RunResult{});
+    ASSERT_EQ(want.size(), dflt.size());
+    std::set<std::string> keys;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(keys.insert(want[i].first).second)
+            << "duplicate key " << want[i].first;
+        EXPECT_NE(want[i].second, dflt[i].second) << want[i].first;
+    }
+
+    // Every field survives the wire, as a value and as text.
+    bool complete = false;
+    EXPECT_EQ(fieldValues(resultFromJson(resultToJson(r), &complete)),
+              want);
+    EXPECT_TRUE(complete);
+    JsonValue parsed;
+    ASSERT_TRUE(JsonValue::parse(resultToJson(r).dump(), parsed));
+    EXPECT_EQ(fieldValues(resultFromJson(parsed)), want);
+
+    // A payload from a peer that predates a field is read tolerantly
+    // but reported incomplete.
+    JsonValue old = JsonValue::makeObject();
+    old.set("exec_ticks", JsonValue::makeNumber(42));
+    RunResult back = resultFromJson(old, &complete);
+    EXPECT_FALSE(complete);
+    EXPECT_EQ(back.execTime, 42u);
+    EXPECT_EQ(back.requests, 0u);
+}
+
+TEST(ServeProto, LongFaultPlanRecordIsWhole)
+{
+    RunConfig cfg;
+    cfg.faults.seed = 18446744073709551615ull;
+    for (double *rate :
+         {&cfg.faults.netDrop, &cfg.faults.netDup, &cfg.faults.netDelay,
+          &cfg.faults.netReorder, &cfg.faults.memFlipSingle,
+          &cfg.faults.memFlipDouble, &cfg.faults.forceNak})
+        *rate = 0.1234567;
+    cfg.faults.netDelayMax = 9999999 * tickPerNs;
+    cfg.faults.retransmitTimeout = 9999999 * tickPerNs;
+    cfg.faults.maxRetransmits = 9999999;
+    cfg.faults.injectDropWithoutRetransmit = true;
+    ASSERT_TRUE(fault::parseRetryPolicy("exp:9999999:9999999",
+                                        cfg.retryPolicy));
+    RunResult r;
+    r.faultsInjected = 18446744073709551615ull;
+    r.faultsRecovered = 18446744073709551614ull;
+    std::string rec = jsonRecord(cfg, r);
+    JsonValue v;
+    std::string err;
+    ASSERT_TRUE(JsonValue::parse(rec, v, &err)) << err << "\n" << rec;
+    EXPECT_EQ(v.getString("faults"), cfg.faults.toString());
+    EXPECT_NE(rec.find(",\"faults_recovered\":18446744073709551614,"),
+              std::string::npos)
+        << rec;
 }
 
 TEST(ServeProto, Hex64RoundTrip)
@@ -521,6 +599,21 @@ TEST(ServeDaemon, ServedRecordMatchesLocalRunByteForByte)
     };
     ASSERT_FALSE(served.empty());
     EXPECT_EQ(strip(served), strip(localRec));
+}
+
+TEST(ServeDaemon, ServedResultCarriesEveryField)
+{
+    DaemonFixture d("fields");
+    RunConfig cfg = quickCell("kv-store");
+    RunResult served;
+    Client c;
+    ASSERT_TRUE(c.connect(d.sock));
+    ASSERT_TRUE(c.submit({cfg}, 0, [&](const CellReply &cr) {
+        served = cr.result;
+    })) << c.error();
+    RunResult local = runOnce(cfg);
+    EXPECT_GT(local.requests, 0u);
+    EXPECT_EQ(simulatedValues(served), simulatedValues(local));
 }
 
 TEST(ServeDaemon, RestartRehydratesFromResultCache)
@@ -1014,6 +1107,86 @@ TEST(ServeDaemon, ResultCacheFsckQuarantinesCorruptFiles)
     };
     for (std::size_t i = 0; i < cells.size(); ++i)
         EXPECT_EQ(strip(before[i]), strip(after[i])) << i;
+}
+
+/** The result cache's content checksum: FNV-1a over record\nresult. */
+std::uint64_t
+cacheSum(const std::string &record, const std::string &result)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (char ch : record + "\n" + result) {
+        h ^= static_cast<unsigned char>(ch);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(ServeDaemon, ResultCacheFileMissingAFieldIsResimulated)
+{
+    DaemonFixture d("oldcache");
+    RunConfig cfg = quickCell("kv-store");
+    CellReply first;
+    {
+        Client c;
+        ASSERT_TRUE(c.connect(d.sock));
+        ASSERT_TRUE(c.submit({cfg}, 0, [&](const CellReply &cr) {
+            first = cr;
+        })) << c.error();
+    }
+    d.stop();
+
+    // Rewrite the cache file the way a daemon from before "requests"
+    // travelled would have: checksum valid, the member absent.
+    namespace fs = std::filesystem;
+    std::vector<std::string> files;
+    for (const auto &e : fs::directory_iterator(d.dir + "/results"))
+        files.push_back(e.path().string());
+    ASSERT_EQ(files.size(), 1u);
+    std::string text;
+    {
+        std::FILE *f = std::fopen(files[0].c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        char buf[4096];
+        std::size_t n;
+        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+            text.append(buf, n);
+        std::fclose(f);
+    }
+    JsonValue file;
+    ASSERT_TRUE(JsonValue::parse(text, file));
+    JsonValue old = JsonValue::makeObject();
+    for (const auto &[key, value] : file.find("result")->members()) {
+        if (key != "requests")
+            old.set(key, value);
+    }
+    std::string record = file.getString("record");
+    JsonValue forged = JsonValue::makeObject();
+    forged.set("key", *file.find("key"));
+    forged.set("record", JsonValue::makeString(record));
+    forged.set("sum", JsonValue::makeString(
+                          hex64(cacheSum(record, old.dump()))));
+    forged.set("result", old);
+    {
+        std::FILE *f = std::fopen(files[0].c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::string out = forged.dump();
+        std::fwrite(out.data(), 1, out.size(), f);
+        std::fclose(f);
+    }
+
+    d.start();
+    Client c;
+    ASSERT_TRUE(c.connect(d.sock));
+    JsonValue stats;
+    ASSERT_TRUE(c.stats(stats));
+    EXPECT_EQ(stats.getNumber("fsck_quarantined"), 1.0);
+    CellReply again;
+    ASSERT_TRUE(c.submit({cfg}, 0, [&](const CellReply &cr) {
+        again = cr;
+    })) << c.error();
+    EXPECT_FALSE(again.cached);
+    EXPECT_GT(again.result.requests, 0u);
+    EXPECT_EQ(simulatedValues(again.result), simulatedValues(first.result));
 }
 
 TEST(ServeDaemon, OverloadedSubmitIsRejectedWithBackpressure)

@@ -600,6 +600,25 @@ TEST(MachineSnap, NetLandForUnknownNodeRejected)
         << err;
 }
 
+TEST(MachineSnap, MessageNamingUnknownRequesterRejected)
+{
+    // A real destination, but a requester beyond the 2-node machine or
+    // none at all on a message that is not idle: either way the reply
+    // would go to no node.
+    for (NodeId requester : {NodeId{7}, invalidNode}) {
+        proto::Message m;
+        m.addr = 0x1000;
+        m.src = 0;
+        m.dest = 1;
+        m.requester = requester;
+        std::string err =
+            restoreWithExtraEvent(Network::LandEv{nullptr, m});
+        EXPECT_NE(err.find("network message for an unknown node"),
+                  std::string::npos)
+            << requester << ": " << err;
+    }
+}
+
 TEST(MachineSnap, EventForDeadTransactionRejected)
 {
     SnapSim a(MachineModel::Base);

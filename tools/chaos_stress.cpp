@@ -82,18 +82,6 @@ struct ChaosOptions
     std::uint64_t minInjected = 10;
 };
 
-bool
-parseModel(const std::string &s, MachineModel &out)
-{
-    if (s == "base") out = MachineModel::Base;
-    else if (s == "intperfect") out = MachineModel::IntPerfect;
-    else if (s == "int512kb") out = MachineModel::Int512KB;
-    else if (s == "int64kb") out = MachineModel::Int64KB;
-    else if (s == "smtp") out = MachineModel::SMTp;
-    else return false;
-    return true;
-}
-
 /**
  * The default chaos plan: every fault class on at a rate that fires
  * hundreds of times per run yet leaves the workload able to finish.
@@ -353,7 +341,7 @@ chaosMain(int argc, char **argv)
                 std::string tok = csv.substr(
                     pos, comma == std::string::npos ? comma : comma - pos);
                 MachineModel model;
-                if (!parseModel(tok, model)) {
+                if (!modelFromName(tok, model)) {
                     std::fprintf(stderr, "unknown model '%s'\n",
                                  tok.c_str());
                     return 2;

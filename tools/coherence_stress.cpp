@@ -64,18 +64,6 @@ levelName(check::CheckLevel l)
     }
 }
 
-bool
-parseModel(const std::string &s, MachineModel &out)
-{
-    if (s == "base") out = MachineModel::Base;
-    else if (s == "intperfect") out = MachineModel::IntPerfect;
-    else if (s == "int512kb") out = MachineModel::Int512KB;
-    else if (s == "int64kb") out = MachineModel::Int64KB;
-    else if (s == "smtp") out = MachineModel::SMTp;
-    else return false;
-    return true;
-}
-
 /**
  * One thread's random op stream over the shared hot-line pool. The
  * loopBegin/loopEnd pair replays the same virtual PCs each iteration so
@@ -241,7 +229,7 @@ stressMain(int argc, char **argv)
                 std::string tok = csv.substr(
                     pos, comma == std::string::npos ? comma : comma - pos);
                 MachineModel model;
-                if (!parseModel(tok, model)) {
+                if (!modelFromName(tok, model)) {
                     std::fprintf(stderr, "unknown model '%s'\n",
                                  tok.c_str());
                     return 2;

@@ -64,18 +64,6 @@ struct CompareOptions
     bool markdown = false;
 };
 
-bool
-parseModel(const std::string &s, MachineModel &out)
-{
-    if (s == "base") out = MachineModel::Base;
-    else if (s == "intperfect") out = MachineModel::IntPerfect;
-    else if (s == "int512kb") out = MachineModel::Int512KB;
-    else if (s == "int64kb") out = MachineModel::Int64KB;
-    else if (s == "smtp") out = MachineModel::SMTp;
-    else return false;
-    return true;
-}
-
 std::vector<std::string>
 splitCommas(const std::string &s)
 {
@@ -281,7 +269,7 @@ toolMain(int argc, char **argv)
             o.models.clear();
             for (const std::string &tok : splitCommas(value())) {
                 MachineModel model;
-                if (!parseModel(tok, model)) {
+                if (!modelFromName(tok, model)) {
                     std::fprintf(stderr, "unknown model '%s'\n",
                                  tok.c_str());
                     return 2;
