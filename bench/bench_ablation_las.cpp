@@ -19,12 +19,11 @@ main(int argc, char **argv)
     // Cell order per app: SMTp baseline, no-LAS, no-bit-assist.
     std::vector<RunConfig> cells;
     for (const auto &app : opt.appList()) {
-        RunConfig cfg;
+        RunConfig cfg = opt.cell;
         cfg.model = MachineModel::SMTp;
         cfg.nodes = nodes;
         cfg.ways = 1;
         cfg.app = app;
-        cfg.scale = opt.scale;
         cells.push_back(cfg);
         RunConfig nolas = cfg;
         nolas.lookAheadScheduling = false;

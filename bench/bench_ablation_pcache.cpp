@@ -18,12 +18,11 @@ main(int argc, char **argv)
     // Cell order per app: SMTp baseline, perfect protocol caches.
     std::vector<RunConfig> cells;
     for (const auto &app : opt.appList()) {
-        RunConfig cfg;
+        RunConfig cfg = opt.cell;
         cfg.model = MachineModel::SMTp;
         cfg.nodes = nodes;
         cfg.ways = 1;
         cfg.app = app;
-        cfg.scale = opt.scale;
         cells.push_back(cfg);
         RunConfig perfect = cfg;
         perfect.perfectProtocolCaches = true;

@@ -60,12 +60,11 @@ main(int argc, char **argv)
     std::vector<RunConfig> cells;
     for (const auto &app : opt.apps) {
         for (MachineModel model : kModels) {
-            RunConfig cfg;
+            RunConfig cfg = opt.cell;
             cfg.model = model;
             cfg.nodes = 4;
             cfg.ways = 1;
             cfg.app = app;
-            cfg.scale = opt.scale;
             cells.push_back(cfg);
         }
     }
@@ -91,12 +90,11 @@ main(int argc, char **argv)
         for (const ScaleRow &s : scaleRows) {
             if (opt.quick && s.nodes * s.ways > 8)
                 continue;
-            RunConfig cfg;
+            RunConfig cfg = opt.cell;
             cfg.model = MachineModel::SMTp;
             cfg.nodes = s.nodes;
             cfg.ways = s.ways;
             cfg.app = app;
-            cfg.scale = opt.scale;
             cells.push_back(cfg);
         }
     }
@@ -104,7 +102,7 @@ main(int argc, char **argv)
     std::vector<RunResult> results = runCells(opt, cells);
 
     std::printf("\nfive-model comparison (nodes=4, ways=1, scale=%.2f)\n",
-                opt.scale);
+                opt.cell.scale);
     printServerHeader();
     std::size_t idx = 0;
     for (const auto &app : opt.apps) {

@@ -25,12 +25,11 @@ main(int argc, char **argv)
     std::vector<RunConfig> cells;
     for (MachineModel model : models) {
         for (const auto &app : opt.appList()) {
-            RunConfig ref;
+            RunConfig ref = opt.cell;
             ref.model = model;
             ref.nodes = 1;
             ref.ways = 1;
             ref.app = app;
-            ref.scale = opt.scale;
             cells.push_back(ref);
             for (unsigned ways : waysList) {
                 if (opt.quick && ways == 4)
@@ -48,7 +47,7 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (MachineModel model : models) {
         std::printf("\n%s (scale=%.2f)\n",
-                    std::string(modelName(model)).c_str(), opt.scale);
+                    std::string(modelName(model)).c_str(), opt.cell.scale);
         printRowHeader({"app", "1-way", "2-way", "4-way"});
         for (const auto &app : opt.appList()) {
             double t1 = static_cast<double>(results[idx++].execTime);

@@ -24,12 +24,11 @@ main(int argc, char **argv)
 
     std::vector<RunConfig> cells;
     for (const auto &app : opt.appList()) {
-        RunConfig cfg;
+        RunConfig cfg = opt.cell;
         cfg.model = MachineModel::SMTp;
         cfg.nodes = opt.quick ? 8 : 16;
         cfg.ways = 1;
         cfg.app = app;
-        cfg.scale = opt.scale;
         cells.push_back(cfg);
     }
 

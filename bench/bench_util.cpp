@@ -1,11 +1,11 @@
 #include "bench_util.hpp"
 
-#include <cctype>
 #include <cstring>
 #include <filesystem>
 
-#include "common/bits.hpp"
+#include "common/parse.hpp"
 #include "serve/client.hpp"
+#include "serve/proto.hpp"
 
 namespace smtp::bench
 {
@@ -74,15 +74,6 @@ std::vector<RunResult>
 runCells(const BenchOptions &opt, const std::vector<RunConfig> &cfgs_in)
 {
     std::vector<RunConfig> cfgs = cfgs_in;
-    for (RunConfig &c : cfgs) {
-        c.faults = opt.faults;
-        c.retryPolicy = opt.retryPolicy;
-        c.ckptDir = opt.ckptDir;
-        c.sample = opt.sample;
-        c.exec = opt.exec;
-        c.checkLevel = opt.checkLevel;
-        c.protocol = opt.protocol;
-    }
     if (!opt.traceDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opt.traceDir, ec);
@@ -134,7 +125,7 @@ runCells(const BenchOptions &opt, const std::vector<RunConfig> &cfgs_in)
     pool.parallelFor(cfgs.size(), [&](std::size_t i) {
         results[i] = runOnce(cfgs[i]);
     });
-    if (!opt.ckptDir.empty()) {
+    if (!opt.cell.ckptDir.empty()) {
         // Cache effectiveness goes to stderr, not the JSON records, so
         // a warm sweep's output stays byte-comparable to a cold one.
         std::uint64_t hits = 0, misses = 0;
@@ -152,7 +143,8 @@ runCells(const BenchOptions &opt, const std::vector<RunConfig> &cfgs_in)
         std::fprintf(
             stderr,
             "checkpoint cache '%s': %llu hits, %llu misses\n",
-            opt.ckptDir.c_str(), static_cast<unsigned long long>(hits),
+            opt.cell.ckptDir.c_str(),
+            static_cast<unsigned long long>(hits),
             static_cast<unsigned long long>(misses));
     }
     if (json != nullptr) {
@@ -202,32 +194,15 @@ parseArgs(int argc, char **argv)
             }
             return n;
         };
-        if (const char *v = value("--scale=")) {
-            opt.scale = std::atof(v);
-        } else if (const char *vd = value("--dcache-div=")) {
-            char *end = nullptr;
-            unsigned long d = std::strtoul(vd, &end, 10);
-            if (!std::isdigit(static_cast<unsigned char>(*vd)) ||
-                *end != '\0' || d > 65536 || !isPow2(d)) {
-                std::fprintf(stderr,
-                             "--dcache-div: '%s' is not a power of two "
-                             "in 1..65536\n",
-                             vd);
-                std::exit(1);
-            }
-            opt.dirCacheDivisor = static_cast<unsigned>(d);
-        } else if (const char *v2 = value("--apps=")) {
-            opt.apps.clear();
-            std::string list = v2;
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                auto comma = list.find(',', pos);
-                opt.apps.push_back(
-                    list.substr(pos, comma == std::string::npos
-                                         ? comma
-                                         : comma - pos));
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
+        std::string err;
+        if (serve::parseCellFlag(arg, opt.cell, &err))
+            continue;
+        if (!err.empty()) {
+            std::fprintf(stderr, "%s\n", err.c_str());
+            std::exit(1);
+        }
+        if (const char *v2 = value("--apps=")) {
+            opt.apps = splitList(v2);
         } else if (const char *vj = value("--jobs=")) {
             opt.jobs = jobs_value(vj);
         } else if (const char *vj2 = next_value("--jobs")) {
@@ -242,48 +217,10 @@ parseArgs(int argc, char **argv)
             opt.traceDir = "traces";
         } else if (arg == "--trace-exec") {
             opt.traceExec = true;
-        } else if (const char *vf = value("--faults=")) {
-            std::string err;
-            if (!fault::FaultPlan::parse(vf, opt.faults, &err)) {
-                std::fprintf(stderr, "--faults: %s\n", err.c_str());
-                std::exit(1);
-            }
-        } else if (const char *vr = value("--retry=")) {
-            std::string err;
-            if (!fault::parseRetryPolicy(vr, opt.retryPolicy, &err)) {
-                std::fprintf(stderr, "--retry: %s\n", err.c_str());
-                std::exit(1);
-            }
         } else if (const char *vc = value("--ckpt-dir=")) {
-            opt.ckptDir = vc;
+            opt.cell.ckptDir = vc;
         } else if (const char *vc2 = next_value("--ckpt-dir")) {
-            opt.ckptDir = vc2;
-        } else if (const char *vs = value("--sample=")) {
-            std::string err;
-            if (!SampleSpec::parse(vs, opt.sample, &err)) {
-                std::fprintf(stderr, "--sample: %s\n", err.c_str());
-                std::exit(1);
-            }
-        } else if (const char *ve = value("--exec=")) {
-            std::string err;
-            if (!ExecParams::parse(ve, opt.exec, &err)) {
-                std::fprintf(stderr, "--exec: %s\n", err.c_str());
-                std::exit(1);
-            }
-        } else if (const char *vk = value("--check=")) {
-            std::string err;
-            if (!serve::parseCheckLevel(vk, opt.checkLevel, &err)) {
-                std::fprintf(stderr, "--check: %s\n", err.c_str());
-                std::exit(1);
-            }
-        } else if (const char *vpr = value("--protocol=")) {
-            if (!proto::protocolFromName(vpr, opt.protocol)) {
-                std::fprintf(
-                    stderr, "--protocol: unknown '%s' (expected %s)\n",
-                    vpr,
-                    std::string(proto::protocolNameList()).c_str());
-                std::exit(1);
-            }
+            opt.cell.ckptDir = vc2;
         } else if (const char *vsv = value("--server=")) {
             opt.serverSock = vsv;
         } else if (const char *vsv2 = next_value("--server")) {
@@ -295,12 +232,16 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else if (arg == "--help") {
-            std::printf("options: --scale=F --apps=A,B,... --quick --big "
+            std::printf("options: --scale=F --dcache-div=N --apps=A,B,... "
+                        "--quick --big "
                         "--verbose --jobs=N --json=PATH --trace[=DIR] "
                         "--faults=PLAN --retry=SPEC --ckpt-dir=DIR "
                         "--sample=W:M:K --exec=serial|parallel[:T] "
                         "--check=off|asserts|full --server=SOCK "
                         "--protocol=NAME --trace-exec\n"
+                        "  --dcache-div directory-cache divisor, a power "
+                        "of two (default 16; 1 = the paper's absolute "
+                        "sizes)\n"
                         "  --big    add beyond-paper capacity rows "
                         "(64/128/256 hardware contexts) to benches "
                         "that support them (bench_server)\n"
@@ -339,7 +280,12 @@ parseArgs(int argc, char **argv)
         }
     }
     if (opt.quick)
-        opt.scale *= 0.5;
+        opt.cell.scale *= 0.5;
+    std::string why;
+    if (!checkMachineParams(serve::paramsFor(opt.cell), &why)) {
+        std::fprintf(stderr, "%s\n", why.c_str());
+        std::exit(1);
+    }
     return opt;
 }
 
@@ -384,14 +330,12 @@ runFigure(const BenchOptions &opt, unsigned nodes, unsigned ways,
     std::vector<RunConfig> cells;
     for (const auto &app : apps) {
         for (MachineModel model : figureModels) {
-            RunConfig cfg;
+            RunConfig cfg = opt.cell;
             cfg.model = model;
             cfg.nodes = nodes;
             cfg.ways = ways;
             cfg.app = app;
-            cfg.scale = opt.scale;
             cfg.cpuFreqMHz = cpu_freq_mhz;
-            cfg.dirCacheDivisor = opt.dirCacheDivisor;
             cells.push_back(cfg);
         }
     }
@@ -400,7 +344,7 @@ runFigure(const BenchOptions &opt, unsigned nodes, unsigned ways,
 
     std::printf("\n%s  (nodes=%u, ways=%u, cpu=%llu MHz, scale=%.2f)\n",
                 caption.c_str(), nodes, ways,
-                static_cast<unsigned long long>(cpu_freq_mhz), opt.scale);
+                static_cast<unsigned long long>(cpu_freq_mhz), opt.cell.scale);
     printRowHeader({"app", "model", "exec(us)", "norm", "memstall",
                     "protOcc"});
     std::size_t idx = 0;

@@ -48,8 +48,12 @@ using serve::runOnce;
 /** Command-line options shared by every bench binary. */
 struct BenchOptions
 {
-    double scale = 1.0;
-    unsigned dirCacheDivisor = 16;
+    /**
+     * The base every cell starts from: the sweep-wide flags
+     * (serve::parseCellFlag) and --ckpt-dir land here, and a bench
+     * sets model, sizes and app per cell.
+     */
+    RunConfig cell;
     std::vector<std::string> apps;  ///< Empty = all six.
     bool quick = false;             ///< Halve sizes, skip 4-way rows.
     /**
@@ -63,18 +67,9 @@ struct BenchOptions
     unsigned jobs = 0;              ///< Sweep workers; 0 = auto.
     std::string jsonPath;           ///< Append per-cell records here.
     std::string traceDir;           ///< Per-cell trace files (empty=off).
-    fault::FaultPlan faults;        ///< --faults=PLAN (default: none).
-    fault::RetryPolicyConfig retryPolicy; ///< --retry=SPEC.
-    std::string ckptDir;            ///< --ckpt-dir=DIR (empty = off).
-    SampleSpec sample;              ///< --sample=W:M:K (default: off).
-    ExecParams exec;                ///< --exec=serial|parallel[:T].
     bool traceExec = false;         ///< --trace-exec (Exec category).
-    /** --check=off|asserts|full; asserts runs under parallel exec. */
-    check::CheckLevel checkLevel = check::CheckLevel::Off;
     /** --server=SOCK: run cells on a smtpd daemon instead of locally. */
     std::string serverSock;
-    /** --protocol=bitvector|migratory|phase-priority (default first). */
-    proto::ProtocolKind protocol = proto::ProtocolKind::Bitvector;
 
     const std::vector<std::string> &appList() const;
 };
@@ -82,11 +77,11 @@ struct BenchOptions
 BenchOptions parseArgs(int argc, char **argv);
 
 /**
- * Run every cell through a SweepPool sized by opt.jobs — or, with
- * opt.serverSock set, through the smtpd daemon at that socket —
- * returning results in cell order (index i belongs to cfgs[i]
- * regardless of worker interleaving). When opt.jsonPath is set, one
- * JSON record per cell is appended there, also in cell order.
+ * Run every cell (each built from opt.cell) through a SweepPool sized
+ * by opt.jobs — or, with opt.serverSock set, through the smtpd daemon
+ * at that socket — returning results in cell order (index i belongs
+ * to cfgs[i] regardless of worker interleaving). When opt.jsonPath is
+ * set, one JSON record per cell is appended there, also in cell order.
  */
 std::vector<RunResult> runCells(const BenchOptions &opt,
                                 const std::vector<RunConfig> &cfgs);

@@ -18,6 +18,34 @@
 namespace smtp::check
 {
 
+const char *
+checkLevelName(CheckLevel lv)
+{
+    switch (lv) {
+      case CheckLevel::Off: return "off";
+      case CheckLevel::Asserts: return "asserts";
+      case CheckLevel::FullMirror: return "full";
+    }
+    return "?";
+}
+
+bool
+parseCheckLevel(const std::string &s, CheckLevel &out, std::string *err)
+{
+    if (s == "off")
+        out = CheckLevel::Off;
+    else if (s == "asserts")
+        out = CheckLevel::Asserts;
+    else if (s == "full")
+        out = CheckLevel::FullMirror;
+    else {
+        if (err != nullptr)
+            *err = "expected off|asserts|full, got '" + s + "'";
+        return false;
+    }
+    return true;
+}
+
 using namespace proto;
 
 Checker::Checker(EventQueue &eq, const DirFormat &fmt,

@@ -84,6 +84,13 @@ enum class CheckLevel : std::uint8_t {
     FullMirror, ///< Asserts plus dir/pend mirrors and quiescence sweeps
 };
 
+/** "off" / "asserts" / "full" (the --check= vocabulary). */
+const char *checkLevelName(CheckLevel lv);
+
+/** Parse the --check= vocabulary. False (with *err) on junk. */
+bool parseCheckLevel(const std::string &s, CheckLevel &out,
+                     std::string *err = nullptr);
+
 struct CheckerParams
 {
     CheckLevel level = CheckLevel::Asserts;

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 
 namespace smtp::fault
 {
@@ -31,16 +32,9 @@ parseValue(const std::string &s, Tick unit, T &v)
             return false;
         v = d;
     } else {
-        std::uint64_t max = std::numeric_limits<T>::max() / unit;
         std::uint64_t n = 0;
-        if (s.empty())
+        if (!parseDigits(s, n, std::numeric_limits<T>::max() / unit))
             return false;
-        for (char c : s) {
-            auto d = static_cast<std::uint64_t>(c - '0');
-            if (c < '0' || c > '9' || d > max || n > (max - d) / 10)
-                return false;
-            n = n * 10 + d;
-        }
         v = static_cast<T>(n * unit);
     }
     return true;

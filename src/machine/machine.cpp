@@ -70,6 +70,28 @@ modelFromName(std::string_view name, MachineModel &out)
     return false;
 }
 
+bool
+checkMachineParams(const MachineParams &p, std::string *why)
+{
+    auto bad = [why](const char *what, unsigned long long v,
+                     const char *want) {
+        if (why != nullptr)
+            *why = std::string(what) + " " + std::to_string(v) +
+                   " is not " + want;
+        return false;
+    };
+    if (p.nodes > 32 || !isPow2(p.nodes))
+        return bad("nodes", p.nodes, "a power of two in 1..32");
+    if (p.appThreadsPerNode < 1 || p.appThreadsPerNode > 64)
+        return bad("ways", p.appThreadsPerNode, "in 1..64");
+    if (p.cpuFreqMHz == 0)
+        return bad("cpu_mhz", p.cpuFreqMHz, "positive");
+    if (!isPow2(p.dirCacheDivisor))
+        return bad("dir_cache_divisor", p.dirCacheDivisor,
+                   "a power of two");
+    return true;
+}
+
 Machine::Machine(const MachineParams &params)
     : params_(params), shards_(params.nodes),
       fmt_(proto::protocolDirFormat(params.protocol,
@@ -79,8 +101,8 @@ Machine::Machine(const MachineParams &params)
           proto::HandlerOptions{params.ownershipLog, false, false,
                                 params.injectMigratoryNoRelease}))
 {
-    SMTP_ASSERT(params.nodes >= 1 && params.nodes <= 32,
-                "the study covers 1..32 nodes");
+    if (std::string why; !checkMachineParams(params, &why))
+        SMTP_PANIC("bad machine parameters: %s", why.c_str());
     map_ = std::make_unique<PagePlacementMap>(params.nodes,
                                               fmt_.entryBytes);
     NetworkParams np;
@@ -245,8 +267,6 @@ Machine::Machine(const MachineParams &params)
               default:
                 break;
             }
-            SMTP_ASSERT(isPow2(params.dirCacheDivisor),
-                        "dirCacheDivisor must be a power of two");
             pe.dcacheBytes = std::max<std::size_t>(
                 pe.dcacheBytes / params.dirCacheDivisor, 2048);
             node->pengine =

@@ -26,6 +26,7 @@
 
 #include <memory>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -70,6 +71,15 @@ struct MachineParams;
  * paying for construction.
  */
 std::uint64_t machineConfigHash(const MachineParams &p);
+
+/**
+ * Whether a Machine can be built from @p p: nodes a power of two in
+ * 1..32, 1..64 app threads per node, a positive CPU clock and a
+ * power-of-two directory-cache divisor. The Machine constructor
+ * asserts it; front ends call it first to refuse bad sizes with a
+ * diagnostic (stored in *why).
+ */
+bool checkMachineParams(const MachineParams &p, std::string *why);
 
 struct MachineParams
 {

@@ -1,13 +1,13 @@
 #include "serve/proto.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <type_traits>
 
-#include "common/bits.hpp"
+#include "common/parse.hpp"
 
 namespace smtp::serve
 {
@@ -27,57 +27,6 @@ failParse(std::string *err, const std::string &msg)
 constexpr double kMaxExactDouble = 9007199254740992.0;
 
 /**
- * Fetch a non-negative integral member. Numbers arrive as doubles;
- * anything fractional, negative, or beyond 2^53 is rejected rather
- * than truncated.
- */
-bool
-getUint(const JsonValue &obj, const char *key, std::uint64_t &out,
-        std::string *err)
-{
-    const JsonValue *v = obj.find(key);
-    if (v == nullptr)
-        return true; // Absent: keep the default.
-    if (!v->isNumber())
-        return failParse(err, std::string("field '") + key +
-                                  "' must be a number");
-    double d = v->number();
-    if (d < 0 || d != std::floor(d) || d > kMaxExactDouble)
-        return failParse(err, std::string("field '") + key +
-                                  "' must be a non-negative integer");
-    out = static_cast<std::uint64_t>(d);
-    return true;
-}
-
-bool
-getBoolStrict(const JsonValue &obj, const char *key, bool &out,
-              std::string *err)
-{
-    const JsonValue *v = obj.find(key);
-    if (v == nullptr)
-        return true;
-    if (!v->isBool())
-        return failParse(err, std::string("field '") + key +
-                                  "' must be a boolean");
-    out = v->boolean();
-    return true;
-}
-
-bool
-getStringStrict(const JsonValue &obj, const char *key, std::string &out,
-                std::string *err)
-{
-    const JsonValue *v = obj.find(key);
-    if (v == nullptr)
-        return true;
-    if (!v->isString())
-        return failParse(err, std::string("field '") + key +
-                                  "' must be a string");
-    out = v->str();
-    return true;
-}
-
-/**
  * @p m as a number; unless @p real, also whole, in [lo, hi] and exact
  * in a double. False when absent, mistyped or out of range.
  */
@@ -93,6 +42,171 @@ readNumber(const JsonValue *m, bool real, double lo, double hi,
         return false;
     out = d;
     return true;
+}
+
+// One strict text form per RunConfig field type: parseText takes the
+// whole string or fails naming it, and toText is its inverse. The CLI
+// flags parse argv text; the wire parses a string member's text, or a
+// number's or bool's JSON spelling, so both share every check.
+
+bool
+parseText(const std::string &s, MachineModel &x, std::string *err)
+{
+    return modelFromName(s, x) ||
+           failParse(err, "unknown machine model '" + s + "'");
+}
+
+bool
+parseText(const std::string &s, proto::ProtocolKind &x, std::string *err)
+{
+    return proto::protocolFromName(s, x) ||
+           failParse(err, "unknown protocol '" + s + "' (expected " +
+                              std::string(proto::protocolNameList()) +
+                              ")");
+}
+
+bool
+parseText(const std::string &s, std::string &x, std::string *)
+{
+    x = s;
+    return true;
+}
+
+bool
+parseText(const std::string &s, bool &x, std::string *err)
+{
+    if (s != "true" && s != "false")
+        return failParse(err, "expected true|false, got '" + s + "'");
+    x = s == "true";
+    return true;
+}
+
+template <class T>
+std::enable_if_t<std::is_unsigned_v<T>, bool>
+parseText(const std::string &s, T &x, std::string *err)
+{
+    return parseDigits(s, x) ||
+           failParse(err, "'" + s + "' is not a non-negative integer");
+}
+
+/** The one real-valued field, scale: finite and positive. */
+bool
+parseText(const std::string &s, double &x, std::string *err)
+{
+    char *end = nullptr;
+    double d = std::strtod(s.c_str(), &end);
+    if (end == s.c_str() || *end != '\0' || !(d > 0.0) ||
+        !std::isfinite(d))
+        return failParse(err, "'" + s + "' is not a positive number");
+    x = d;
+    return true;
+}
+
+bool
+parseText(const std::string &s, ExecParams &x, std::string *err)
+{
+    return ExecParams::parse(s, x, err);
+}
+
+bool
+parseText(const std::string &s, check::CheckLevel &x, std::string *err)
+{
+    return parseCheckLevel(s, x, err);
+}
+
+bool
+parseText(const std::string &s, SampleSpec &x, std::string *err)
+{
+    return SampleSpec::parse(s, x, err);
+}
+
+bool
+parseText(const std::string &s, fault::FaultPlan &x, std::string *err)
+{
+    return fault::FaultPlan::parse(s, x, err);
+}
+
+bool
+parseText(const std::string &s, fault::RetryPolicyConfig &x,
+          std::string *err)
+{
+    return fault::parseRetryPolicy(s, x, err);
+}
+
+std::string toText(MachineModel x) { return std::string(modelName(x)); }
+std::string toText(const std::string &x) { return x; }
+std::string toText(const ExecParams &x) { return x.toString(); }
+std::string toText(check::CheckLevel x) { return checkLevelName(x); }
+std::string toText(const fault::FaultPlan &x) { return x.toString(); }
+
+std::string
+toText(proto::ProtocolKind x)
+{
+    return std::string(proto::protocolName(x));
+}
+
+std::string
+toText(const SampleSpec &x)
+{
+    return std::to_string(x.warmup) + ":" + std::to_string(x.interval) +
+           ":" + std::to_string(x.count);
+}
+
+std::string
+toText(const fault::RetryPolicyConfig &x)
+{
+    return fault::retryPolicyToString(x);
+}
+
+/** A field's wire form: a JSON bool, number, or its text as a string. */
+template <class T>
+JsonValue
+toWire(const T &x)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return JsonValue::makeBool(x);
+    else if constexpr (std::is_arithmetic_v<T>)
+        return JsonValue::makeNumber(static_cast<double>(x));
+    else
+        return JsonValue::makeString(toText(x));
+}
+
+/** Read a wire member into @p x: toWire's JSON type, then parseText. */
+template <class T>
+bool
+fromWire(const char *key, const JsonValue &v, T &x, std::string *err)
+{
+    constexpr bool isBool = std::is_same_v<T, bool>;
+    constexpr bool isNum = std::is_arithmetic_v<T> && !isBool;
+    std::string why;
+    if (isBool ? !v.isBool() : isNum ? !v.isNumber() : !v.isString()) {
+        why = isBool ? "must be a boolean"
+                     : isNum ? "must be a number" : "must be a string";
+    } else if (parseText(v.isString() ? v.str() : v.dump(), x, &why)) {
+        return true;
+    }
+    return failParse(err, std::string("field '") + key + "': " + why);
+}
+
+/**
+ * @p cfg's wire members; an IfSet field only where its wire form
+ * differs from @p dflt's (every field when @p dflt is null).
+ */
+JsonValue
+wireFields(const RunConfig &cfg, const JsonValue *dflt)
+{
+    JsonValue cell = JsonValue::makeObject();
+    auto put = [&](const char *key, const auto &x, const char *,
+                   RunConfig::Wire w) {
+        JsonValue v = toWire(x);
+        if (w == RunConfig::Wire::InOnly ||
+            (w == RunConfig::Wire::IfSet && dflt != nullptr &&
+             v.dump() == dflt->find(key)->dump()))
+            return;
+        cell.set(key, std::move(v));
+    };
+    const_cast<RunConfig &>(cfg).fields(put);
+    return cell;
 }
 
 } // namespace
@@ -195,46 +309,8 @@ resultFromJson(const JsonValue &v, bool *complete)
 JsonValue
 cellToJson(const RunConfig &cfg)
 {
-    JsonValue cell = JsonValue::makeObject();
-    cell.set("model",
-             JsonValue::makeString(std::string(modelName(cfg.model))));
-    // Non-default protocols travel explicitly; absence means bitvector
-    // so pre-variant clients and daemons interoperate unchanged.
-    if (cfg.protocol != proto::ProtocolKind::Bitvector) {
-        cell.set("protocol",
-                 JsonValue::makeString(
-                     std::string(proto::protocolName(cfg.protocol))));
-    }
-    cell.set("nodes", JsonValue::makeNumber(cfg.nodes));
-    cell.set("ways", JsonValue::makeNumber(cfg.ways));
-    cell.set("app", JsonValue::makeString(cfg.app));
-    cell.set("scale", JsonValue::makeNumber(cfg.scale));
-    cell.set("cpu_mhz",
-             JsonValue::makeNumber(static_cast<double>(cfg.cpuFreqMHz)));
-    cell.set("las", JsonValue::makeBool(cfg.lookAheadScheduling));
-    cell.set("bitops", JsonValue::makeBool(cfg.bitAssistOps));
-    cell.set("pcache", JsonValue::makeBool(cfg.perfectProtocolCaches));
-    cell.set("dir_cache_divisor",
-             JsonValue::makeNumber(cfg.dirCacheDivisor));
-    cell.set("exec", JsonValue::makeString(cfg.exec.toString()));
-    cell.set("check",
-             JsonValue::makeString(checkLevelName(cfg.checkLevel)));
-    if (cfg.sample.active()) {
-        cell.set("sample",
-                 JsonValue::makeString(
-                     std::to_string(cfg.sample.warmup) + ":" +
-                     std::to_string(cfg.sample.interval) + ":" +
-                     std::to_string(cfg.sample.count)));
-    }
-    if (cfg.faults.enabled())
-        cell.set("faults", JsonValue::makeString(cfg.faults.toString()));
-    cell.set("retry", JsonValue::makeString(
-                          fault::retryPolicyToString(cfg.retryPolicy)));
-    if (!cfg.traceStem.empty())
-        cell.set("trace", JsonValue::makeBool(true));
-    if (cfg.traceExec)
-        cell.set("trace_exec", JsonValue::makeBool(true));
-    return cell;
+    static const JsonValue dflt = wireFields(RunConfig{}, nullptr);
+    return wireFields(cfg, &dflt);
 }
 
 bool
@@ -242,113 +318,47 @@ cellFromJson(const JsonValue &cell, RunConfig &out, std::string *err)
 {
     if (!cell.isObject())
         return failParse(err, "cell must be a JSON object");
-    static const char *const kKnown[] = {
-        "model", "protocol", "nodes", "ways", "app", "scale", "cpu_mhz",
-        "las", "bitops", "pcache", "dir_cache_divisor", "exec", "check",
-        "sample", "faults", "retry", "trace", "trace_exec",
-        "ckpt_dir", // Accepted and ignored: the daemon owns the farm.
-    };
-    for (const auto &[key, value] : cell.members()) {
-        bool known = false;
-        for (const char *k : kKnown)
-            known = known || key == k;
-        if (!known)
-            return failParse(err, "unknown cell field '" + key + "'");
-    }
-
     out = RunConfig{};
-    std::string model;
-    if (!getStringStrict(cell, "model", model, err))
-        return false;
-    if (!model.empty() && !modelFromName(model, out.model))
-        return failParse(err, "unknown machine model '" + model + "'");
-    std::string protocol;
-    if (!getStringStrict(cell, "protocol", protocol, err))
-        return false;
-    if (!proto::protocolFromName(protocol, out.protocol)) {
-        return failParse(err, "unknown protocol '" + protocol +
-                                  "' (expected " +
-                                  std::string(proto::protocolNameList()) +
-                                  ")");
+    for (const auto &member : cell.members()) {
+        bool known = false;
+        auto match = [&](const char *key, auto &, const char *,
+                         RunConfig::Wire) {
+            known = known || member.first == key;
+        };
+        out.fields(match);
+        if (!known)
+            return failParse(err,
+                             "unknown cell field '" + member.first + "'");
     }
+    bool ok = true;
+    auto get = [&](const char *key, auto &x, const char *,
+                   RunConfig::Wire) {
+        const JsonValue *v = cell.find(key);
+        ok = ok && (v == nullptr || fromWire(key, *v, x, err));
+    };
+    out.fields(get);
+    return ok && checkMachineParams(paramsFor(out), err);
+}
 
-    std::uint64_t u;
-    u = out.nodes;
-    if (!getUint(cell, "nodes", u, err))
-        return false;
-    if (u == 0 || u > 4096)
-        return failParse(err, "nodes out of range");
-    out.nodes = static_cast<unsigned>(u);
-    u = out.ways;
-    if (!getUint(cell, "ways", u, err))
-        return false;
-    if (u == 0 || u > 64)
-        return failParse(err, "ways out of range");
-    out.ways = static_cast<unsigned>(u);
-
-    if (!getStringStrict(cell, "app", out.app, err))
-        return false;
-    const JsonValue *scale = cell.find("scale");
-    if (scale != nullptr) {
-        if (!scale->isNumber() || scale->number() <= 0)
-            return failParse(err, "scale must be a positive number");
-        out.scale = scale->number();
-    }
-    u = out.cpuFreqMHz;
-    if (!getUint(cell, "cpu_mhz", u, err))
-        return false;
-    if (u == 0)
-        return failParse(err, "cpu_mhz must be positive");
-    out.cpuFreqMHz = u;
-    if (!getBoolStrict(cell, "las", out.lookAheadScheduling, err) ||
-        !getBoolStrict(cell, "bitops", out.bitAssistOps, err) ||
-        !getBoolStrict(cell, "pcache", out.perfectProtocolCaches, err) ||
-        !getBoolStrict(cell, "trace_exec", out.traceExec, err))
-        return false;
-    u = out.dirCacheDivisor;
-    if (!getUint(cell, "dir_cache_divisor", u, err))
-        return false;
-    if (u == 0 || u > 65536 || !isPow2(u))
-        return failParse(err, "dir_cache_divisor must be a power of two "
-                              "in 1..65536");
-    out.dirCacheDivisor = static_cast<unsigned>(u);
-
-    std::string spec;
-    spec.clear();
-    if (!getStringStrict(cell, "exec", spec, err))
-        return false;
-    if (!spec.empty() && !ExecParams::parse(spec, out.exec, err))
-        return false;
-    spec.clear();
-    if (!getStringStrict(cell, "check", spec, err))
-        return false;
-    if (!spec.empty() && !parseCheckLevel(spec, out.checkLevel, err))
-        return false;
-    spec.clear();
-    if (!getStringStrict(cell, "sample", spec, err))
-        return false;
-    if (!spec.empty() && !SampleSpec::parse(spec, out.sample, err))
-        return false;
-    spec.clear();
-    if (!getStringStrict(cell, "faults", spec, err))
-        return false;
-    if (!spec.empty() && !fault::FaultPlan::parse(spec, out.faults, err))
-        return false;
-    spec.clear();
-    if (!getStringStrict(cell, "retry", spec, err))
-        return false;
-    if (!spec.empty() &&
-        !fault::parseRetryPolicy(spec, out.retryPolicy, err))
-        return false;
-
-    // "trace" is a request flag: the daemon assigns the stem under its
-    // own state dir, so the client never names server-side paths.
-    bool wantTrace = false;
-    if (!getBoolStrict(cell, "trace", wantTrace, err))
-        return false;
-    if (wantTrace)
-        out.traceStem = "?"; // Placeholder; server substitutes.
-    return true;
+bool
+parseCellFlag(const std::string &arg, RunConfig &cfg, std::string *err)
+{
+    std::size_t eq = arg.find('=');
+    std::string name = arg.substr(0, eq);
+    std::string why;
+    bool found = false;
+    bool ok = false;
+    auto take = [&](const char *, auto &x, const char *flag,
+                    RunConfig::Wire) {
+        if (flag != nullptr && eq != std::string::npos && name == flag) {
+            found = true;
+            ok = parseText(arg.substr(eq + 1), x, &why);
+        }
+    };
+    cfg.fields(take);
+    if (found && !ok)
+        failParse(err, name + ": " + why);
+    return found && ok;
 }
 
 } // namespace smtp::serve

@@ -11,10 +11,10 @@
  * client-side RunConfig and the daemon-side one it becomes have equal
  * cellKey() — the dedup identity survives the wire.
  *
- * One RunConfig field never crosses the wire meaningfully: ckptDir.
- * The daemon owns a single checkpoint farm for all clients (that
- * sharing is the point of the service); a client-sent "ckpt_dir" is
- * accepted for CLI symmetry and ignored, documented in docs/service.md.
+ * Both, and the front ends' sweep-wide cell flags (parseCellFlag),
+ * walk RunConfig::fields(), with one strict text parser per field
+ * type, so a value the wire refuses is refused on the command line
+ * too. Sizes are checked by the machine's own checkMachineParams().
  */
 
 #ifndef SMTP_SERVE_PROTO_HPP
@@ -49,12 +49,22 @@ RunResult resultFromJson(const JsonValue &v, bool *complete = nullptr);
 
 /**
  * Parse one cell object. False with *err on any unknown member, wrong
- * type, or unparsable spec string (exec/check/sample/faults/retry).
+ * type, unparsable value, or sizes checkMachineParams() refuses.
  * @p out is default-initialized first, so omitted members get the
  * RunConfig defaults.
  */
 bool cellFromJson(const JsonValue &cell, RunConfig &out,
                   std::string *err = nullptr);
+
+/**
+ * Offer one argv word to the sweep-wide cell flags (the RunConfig
+ * fields with a flag, e.g. --scale=F, --dcache-div=N). True when
+ * @p arg set one in @p cfg; false with *err set ("FLAG: why") on a
+ * bad value, or with *err untouched when @p arg names no such flag.
+ * Sizes are left to checkMachineParams() on the finished cells.
+ */
+bool parseCellFlag(const std::string &arg, RunConfig &cfg,
+                   std::string *err);
 
 /**
  * The structured error record for a quarantined (or shed) cell: the

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/checker.hpp"
+#include "common/parse.hpp"
 #include "snap/ckpt_cache.hpp"
 #include "trace/trace.hpp"
 #include "workload/app.hpp"
@@ -20,20 +21,18 @@ bool
 SampleSpec::parse(const std::string &spec, SampleSpec &out,
                   std::string *err)
 {
-    unsigned long long w = 0, m = 0, k = 0;
-    char trailing = 0;
-    int n = std::sscanf(spec.c_str(), "%llu:%llu:%llu%c", &w, &m, &k,
-                        &trailing);
-    if (n != 3 || m == 0 || k == 0) {
+    std::vector<std::string> p = splitList(spec, ':');
+    SampleSpec s;
+    if (p.size() != 3 || !parseDigits(p[0], s.warmup) ||
+        !parseDigits(p[1], s.interval) || !parseDigits(p[2], s.count) ||
+        !s.active()) {
         if (err != nullptr)
             *err = "expected W:M:K (cycles:cycles:count, M and K > 0), "
                    "got '" +
                    spec + "'";
         return false;
     }
-    out.warmup = w;
-    out.interval = m;
-    out.count = static_cast<unsigned>(k);
+    out = s;
     return true;
 }
 
@@ -365,35 +364,6 @@ runSampled(CellSim &sim, const RunConfig &cfg,
 }
 
 } // namespace
-
-const char *
-checkLevelName(check::CheckLevel lv)
-{
-    switch (lv) {
-      case check::CheckLevel::Off: return "off";
-      case check::CheckLevel::Asserts: return "asserts";
-      case check::CheckLevel::FullMirror: return "full";
-    }
-    return "?";
-}
-
-bool
-parseCheckLevel(const std::string &s, check::CheckLevel &out,
-                std::string *err)
-{
-    if (s == "off")
-        out = check::CheckLevel::Off;
-    else if (s == "asserts")
-        out = check::CheckLevel::Asserts;
-    else if (s == "full")
-        out = check::CheckLevel::FullMirror;
-    else {
-        if (err != nullptr)
-            *err = "expected off|asserts|full, got '" + s + "'";
-        return false;
-    }
-    return true;
-}
 
 MachineParams
 paramsFor(const RunConfig &cfg)

@@ -45,8 +45,22 @@ struct SampleSpec
                       std::string *err = nullptr);
 };
 
+/**
+ * One sweep cell. fields() names every field a cell carries on the
+ * smtpd wire once, with its wire key and, for the sweep-wide options,
+ * its CLI flag; cellToJson/cellFromJson and every front end's cell
+ * flags (parseCellFlag) are walks over that one list.
+ */
 struct RunConfig
 {
+    /**
+     * How a field travels in cellToJson(): Always; IfSet only when it
+     * differs from the default, so a cell that leaves the option off
+     * still reads on a daemon that predates it; InOnly is accepted
+     * from clients and never sent.
+     */
+    enum class Wire : std::uint8_t { Always, IfSet, InOnly };
+
     MachineModel model = MachineModel::SMTp;
     /**
      * Directory-protocol variant (--protocol=NAME). The default
@@ -105,6 +119,44 @@ struct RunConfig
      */
     std::string ckptDir;
     SampleSpec sample; ///< Inactive = run to completion (default).
+
+    /**
+     * Call f(key, member, flag, wire) once per field, in wire order.
+     * flag is the CLI spelling of a sweep-wide option, or nullptr for
+     * the fields a front end sets per cell. The wire carries only
+     * whether to trace ("?" until the daemon names the stem), and
+     * accepts a client's ckpt_dir only to drop it: the daemon owns
+     * the checkpoint farm.
+     */
+    template <class F>
+    void
+    fields(F &f)
+    {
+        using W = Wire;
+        bool trace = !traceStem.empty();
+        std::string ckptIgnored;
+        f("model", model, nullptr, W::Always);
+        f("protocol", protocol, "--protocol", W::IfSet);
+        f("nodes", nodes, nullptr, W::Always);
+        f("ways", ways, nullptr, W::Always);
+        f("app", app, nullptr, W::Always);
+        f("scale", scale, "--scale", W::Always);
+        f("cpu_mhz", cpuFreqMHz, nullptr, W::Always);
+        f("las", lookAheadScheduling, nullptr, W::Always);
+        f("bitops", bitAssistOps, nullptr, W::Always);
+        f("pcache", perfectProtocolCaches, nullptr, W::Always);
+        f("dir_cache_divisor", dirCacheDivisor, "--dcache-div", W::Always);
+        f("exec", exec, "--exec", W::Always);
+        f("check", checkLevel, "--check", W::Always);
+        f("sample", sample, "--sample", W::IfSet);
+        f("faults", faults, "--faults", W::IfSet);
+        f("retry", retryPolicy, "--retry", W::Always);
+        f("trace", trace, nullptr, W::IfSet);
+        f("trace_exec", traceExec, nullptr, W::IfSet);
+        f("ckpt_dir", ckptIgnored, nullptr, W::InOnly);
+        if (trace && traceStem.empty())
+            traceStem = "?";
+    }
 };
 
 /**
@@ -232,12 +284,8 @@ struct RunResult
     }
 };
 
-/** "off" / "asserts" / "full" (the --check= vocabulary). */
-const char *checkLevelName(check::CheckLevel lv);
-
-/** Parse the --check= vocabulary. False (with *err) on junk. */
-bool parseCheckLevel(const std::string &s, check::CheckLevel &out,
-                     std::string *err = nullptr);
+using check::checkLevelName;
+using check::parseCheckLevel;
 
 /** MachineParams for one cell (the machine-facing half of RunConfig). */
 MachineParams paramsFor(const RunConfig &cfg);

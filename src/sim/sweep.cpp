@@ -1,9 +1,9 @@
 #include "sweep.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 
 namespace smtp
 {
@@ -11,19 +11,14 @@ namespace smtp
 bool
 parseJobs(const std::string &text, unsigned &out, std::string *err)
 {
-    // At most four digits, so stoul can neither throw nor overflow.
-    bool digits = !text.empty() && text.size() <= 4 &&
-                  std::all_of(text.begin(), text.end(), [](char c) {
-                      return c >= '0' && c <= '9';
-                  });
-    unsigned long v = digits ? std::stoul(text) : 0;
-    if (v < 1 || v > maxJobs) {
+    unsigned v = 0;
+    if (!parseDigits(text, v, maxJobs) || v < 1) {
         if (err != nullptr)
             *err = "bad worker count '" + text + "' (want 1.." +
                    std::to_string(maxJobs) + ")";
         return false;
     }
-    out = static_cast<unsigned>(v);
+    out = v;
     return true;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/bits.hpp"
 #include "common/fixed_queue.hpp"
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -73,6 +74,23 @@ TEST(Bits, Rounding)
     EXPECT_EQ(divCeil(1, 8), 1ULL);
     EXPECT_EQ(divCeil(8, 8), 1ULL);
     EXPECT_EQ(divCeil(9, 8), 2ULL);
+}
+
+TEST(Parse, DigitsOnlyAndInRange)
+{
+    unsigned u = 7;
+    EXPECT_TRUE(parseDigits("42", u));
+    EXPECT_EQ(u, 42u);
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "1x", "abc",
+                            "4294967296"})
+        EXPECT_FALSE(parseDigits(bad, u)) << bad;
+    EXPECT_EQ(u, 42u) << "a failed parse must leave the value alone";
+    EXPECT_TRUE(parseDigits("4294967295", u));
+    std::uint64_t big = 0;
+    EXPECT_TRUE(parseDigits("18446744073709551615", big));
+    EXPECT_FALSE(parseDigits("18446744073709551616", big));
+    EXPECT_TRUE(parseDigits("9", u, 9));
+    EXPECT_FALSE(parseDigits("10", u, 9));
 }
 
 TEST(Types, LineAndPageAlign)

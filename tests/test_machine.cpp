@@ -157,6 +157,30 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------------ specifics
 
+TEST(MachineTest, CheckParamsNamesTheSizesTheMachineBuilds)
+{
+    MachineParams p;
+    std::string why;
+    for (unsigned n : {1u, 2u, 4u, 8u, 16u, 32u}) {
+        p.nodes = n;
+        EXPECT_TRUE(checkMachineParams(p, &why)) << n << ": " << why;
+    }
+    for (unsigned n : {0u, 3u, 5u, 6u, 9u, 64u}) {
+        p.nodes = n;
+        EXPECT_FALSE(checkMachineParams(p, &why)) << n;
+        EXPECT_NE(why.find("nodes"), std::string::npos) << why;
+    }
+    p.nodes = 4;
+    p.dirCacheDivisor = 3;
+    EXPECT_FALSE(checkMachineParams(p, &why));
+    EXPECT_NE(why.find("dir_cache_divisor"), std::string::npos) << why;
+    p.dirCacheDivisor = 16;
+    for (unsigned w : {0u, 65u}) {
+        p.appThreadsPerNode = w;
+        EXPECT_FALSE(checkMachineParams(p, &why)) << w;
+    }
+}
+
 TEST(MachineTest, SingleNodeSmtpRunsFft)
 {
     SimRun run(MachineModel::SMTp, 1, 1, "FFT");

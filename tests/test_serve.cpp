@@ -253,27 +253,80 @@ TEST(ServeWire, HalfClosedPeerSendPathReportsEpipe)
 
 TEST(ServeProto, CellRoundTripPreservesKey)
 {
+    // Every field gets a non-default value; the daemon re-parses each
+    // cell this way on its way to a worker, so none may be lost.
     RunConfig cfg;
     cfg.model = MachineModel::Int64KB;
+    cfg.protocol = proto::ProtocolKind::Migratory;
     cfg.nodes = 4;
     cfg.ways = 2;
     cfg.app = "radix";
-    cfg.scale = 0.25;
+    cfg.scale = 0.3;
+    cfg.cpuFreqMHz = 3000;
+    cfg.lookAheadScheduling = false;
+    cfg.bitAssistOps = false;
+    cfg.perfectProtocolCaches = true;
+    cfg.dirCacheDivisor = 4;
     ASSERT_TRUE(ExecParams::parse("parallel:3", cfg.exec));
     ASSERT_TRUE(parseCheckLevel("asserts", cfg.checkLevel));
     ASSERT_TRUE(SampleSpec::parse("1000:500:8", cfg.sample));
     ASSERT_TRUE(fault::FaultPlan::parse("seed=7,drop=0.01", cfg.faults));
-    cfg.protocol = proto::ProtocolKind::Migratory;
+    ASSERT_TRUE(fault::parseRetryPolicy("exp:50:3200", cfg.retryPolicy));
+    cfg.traceStem = "?";
+    cfg.traceExec = true;
+
+    const JsonValue wire = cellToJson(cfg);
+    const JsonValue dflt = cellToJson(RunConfig{});
+    // The default keeps the pre-variant wire shape: no "protocol".
+    EXPECT_EQ(dflt.find("protocol"), nullptr);
 
     RunConfig back;
     std::string err;
-    ASSERT_TRUE(cellFromJson(cellToJson(cfg), back, &err)) << err;
+    ASSERT_TRUE(cellFromJson(wire, back, &err)) << err;
     EXPECT_EQ(cellKey(back), cellKey(cfg));
-    EXPECT_EQ(back.app, cfg.app);
-    EXPECT_EQ(back.exec.toString(), cfg.exec.toString());
-    EXPECT_EQ(back.checkLevel, cfg.checkLevel);
-    EXPECT_EQ(back.sample.warmup, cfg.sample.warmup);
-    EXPECT_EQ(back.protocol, cfg.protocol);
+    EXPECT_EQ(cellToJson(back).dump(), wire.dump());
+    EXPECT_EQ(back.traceStem, "?");
+
+    std::set<std::string> flags;
+    auto check = [&](const char *key, auto &, const char *flag,
+                     RunConfig::Wire w) {
+        if (w == RunConfig::Wire::InOnly)
+            return;
+        const JsonValue *v = wire.find(key);
+        ASSERT_NE(v, nullptr) << key;
+        const JsonValue *d = dflt.find(key);
+        EXPECT_TRUE(d == nullptr || d->dump() != v->dump())
+            << key << " was left at its default";
+        if (flag == nullptr)
+            return;
+        // The CLI spelling of the wire value parses to the same field.
+        flags.insert(flag);
+        std::string text = v->isString() ? v->str() : v->dump();
+        RunConfig cli;
+        std::string ferr;
+        ASSERT_TRUE(parseCellFlag(std::string(flag) + "=" + text, cli,
+                                  &ferr))
+            << flag << ": " << ferr;
+        EXPECT_EQ(cellToJson(cli).find(key)->dump(), v->dump()) << flag;
+    };
+    cfg.fields(check);
+    EXPECT_EQ(flags, (std::set<std::string>{
+                         "--scale", "--dcache-div", "--exec", "--check",
+                         "--protocol", "--sample", "--faults", "--retry"}));
+
+    // A client's ckpt_dir is accepted and dropped.
+    JsonValue withCkpt = wire;
+    withCkpt.set("ckpt_dir", JsonValue::makeString("/elsewhere"));
+    ASSERT_TRUE(cellFromJson(withCkpt, back, &err)) << err;
+    EXPECT_TRUE(back.ckptDir.empty());
+
+    // Words that are not cell flags are left to the caller.
+    err.clear();
+    EXPECT_FALSE(parseCellFlag("--nodes=4", back, &err));
+    EXPECT_FALSE(parseCellFlag("--scale", back, &err));
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_FALSE(parseCellFlag("--scale=abc", back, &err));
+    EXPECT_NE(err.find("--scale"), std::string::npos) << err;
 }
 
 TEST(ServeProto, ProtocolVariantsNeverShareACellKey)
@@ -335,9 +388,14 @@ TEST(ServeProto, MalformedCellValuesAreRejected)
     reject("exec", JsonValue::makeString("hyperthreaded"));
     reject("check", JsonValue::makeString("paranoid"));
     reject("sample", JsonValue::makeString("1:2"));
+    reject("sample", JsonValue::makeString("-1:5:5"));
+    reject("sample", JsonValue::makeString("1: 5:+5"));
     reject("las", JsonValue::makeNumber(1));
-    // Machine asserts a power-of-two divisor; the wire must stop it.
+    // The machine's own size checks run at the wire.
     reject("dir_cache_divisor", JsonValue::makeNumber(3));
+    reject("nodes", JsonValue::makeNumber(3));
+    reject("nodes", JsonValue::makeNumber(6));
+    reject("nodes", JsonValue::makeNumber(64));
     reject("dir_cache_divisor", JsonValue::makeNumber(0));
 }
 
@@ -1280,6 +1338,13 @@ TEST(SmtpctlCli, UsageErrorsExitTwo)
     EXPECT_EQ(runSmtpctl("--socket=x --bogus-flag ping"), 2);
     EXPECT_EQ(runSmtpctl("--socket=x run --nodes=0"), 2);
     EXPECT_EQ(runSmtpctl("--socket=x run --deadline=-1"), 2);
+    // Bad cell values are usage errors before any connection.
+    EXPECT_EQ(runSmtpctl("--socket=x run --nodes=6"), 2);
+    EXPECT_EQ(runSmtpctl("--socket=x run --nodes=64"), 2);
+    EXPECT_EQ(runSmtpctl("--socket=x run --scale=0"), 2);
+    EXPECT_EQ(runSmtpctl("--socket=x run --scale=abc"), 2);
+    EXPECT_EQ(runSmtpctl("--socket=x run --ways=abc"), 2);
+    EXPECT_EQ(runSmtpctl("--socket=x run --priority=abc"), 2);
 }
 
 TEST(SmtpctlCli, MalformedDaemonReplyExitsOne)

@@ -15,7 +15,8 @@
  *   chaos_stress [--models=base,smtp,...] [--nodes=N] [--threads=W]
  *                [--seed=S] [--ops=K] [--faults=PLAN] [--retry=SPEC]
  *                [--trace=DIR] [--report=PATH] [--wedge-snap=PATH]
- *                [--quick] [--shrink] [--abort-off] [--bug=droploss]
+ *                [--protocol=NAME] [--quick] [--shrink] [--abort-off]
+ *                [--bug=droploss]
  *
  * --bug=droploss flips the deliberate drop-without-retransmit bug hook
  * on and inverts the pass criterion: the run must NOT survive — the
@@ -29,36 +30,24 @@
  * disables) for post-mortem with snap_tool inspect/diff.
  */
 
-#include <cctype>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/rng.hpp"
 #include "fault/fault.hpp"
-#include "machine/machine.hpp"
-#include "workload/app.hpp"
-#include "workload/gen.hpp"
+#include "stress_common.hpp"
 
 namespace smtp
 {
 namespace
 {
 
-struct ChaosOptions
+struct ChaosOptions : stress::StreamOptions
 {
-    std::vector<MachineModel> models{
-        MachineModel::Base, MachineModel::IntPerfect,
-        MachineModel::Int512KB, MachineModel::Int64KB,
-        MachineModel::SMTp};
-    unsigned nodes = 4;
-    unsigned threads = 1; ///< App threads per node.
-    std::uint64_t seed = 1;
-    unsigned ops = 4000; ///< Memory-op iterations per thread.
+    ChaosOptions() { ops = 4000; } ///< Shorter streams: faults slow them.
+
     std::string faultSpec; ///< Empty = the default moderate plan.
     fault::RetryPolicyConfig retry{fault::RetryKind::ExpBackoff,
                                    100 * tickPerNs, 6400 * tickPerNs, 32};
@@ -72,11 +61,6 @@ struct ChaosOptions
      * component (docs/debugging.md).
      */
     std::string wedgeSnapPath = "chaos_wedge.smtpsnap";
-    /** Directory-protocol variant under chaos (docs/protocols.md). */
-    proto::ProtocolKind protocol = proto::ProtocolKind::Bitvector;
-    bool quick = false;
-    bool shrink = false;
-    bool abortOnViolation = true;
     bool bugDroploss = false;
     /** Minimum injected faults a model must see (plan sanity floor). */
     std::uint64_t minInjected = 10;
@@ -123,32 +107,6 @@ resolvePlan(const ChaosOptions &o)
     return p;
 }
 
-/** Same op mix as coherence_stress: contended loads/stores/swaps. */
-Task
-chaosTask(ThreadCtx &c, std::uint64_t seed, unsigned ops,
-          const std::vector<Addr> *pool)
-{
-    Rng rng(seed);
-    auto loop = c.loopBegin();
-    for (unsigned i = 0; i < ops; ++i) {
-        Addr line = (*pool)[rng.below(pool->size())];
-        Addr addr = line + rng.below(16) * 8;
-        std::uint64_t pick = rng.below(100);
-        if (pick < 40) {
-            (void)co_await c.load(addr);
-        } else if (pick < 72) {
-            co_await c.store(addr, (seed << 20) ^ i);
-        } else if (pick < 80) {
-            (void)co_await c.swap(addr, i);
-        } else if (pick < 90) {
-            co_await c.prefetch(addr, rng.chance(0.5));
-        } else {
-            co_await c.intOps(4);
-        }
-        co_await c.loopEnd(loop, i + 1 < ops);
-    }
-}
-
 struct ModelResult
 {
     MachineModel model{};
@@ -183,37 +141,7 @@ runModel(MachineModel model, const ChaosOptions &o)
         mp.checkWatchdogMaxAge = 200 * tickPerUs;
     }
     Machine m(mp);
-
-    FuncMem mem;
-    workload::Alloc alloc(m.addressMap());
-    std::vector<Addr> pool;
-    for (unsigned n = 0; n < o.nodes; ++n) {
-        for (unsigned i = 0; i < 6; ++i)
-            pool.push_back(alloc.allocLine(static_cast<NodeId>(n)));
-    }
-
-    std::vector<std::unique_ptr<ThreadCtx>> ctxs;
-    unsigned total = o.nodes * o.threads;
-    for (unsigned t = 0; t < total; ++t) {
-        NodeId node = static_cast<NodeId>(t / o.threads);
-        std::uint64_t pc_base =
-            0x4000'0000ULL +
-            static_cast<std::uint64_t>(node) * 0x0100'0000ULL;
-        auto ctx = std::make_unique<ThreadCtx>(mem, node, pc_base);
-        ctx->run(chaosTask(*ctx,
-                           o.seed ^ (t + 1) * 0x9e3779b97f4a7c15ULL,
-                           o.ops, &pool));
-        m.setGlobalSource(t, ctx.get());
-        ctxs.push_back(std::move(ctx));
-    }
-    for (unsigned n = 0; n < o.nodes; ++n) {
-        Addr text = 0x4000'0000ULL +
-                    static_cast<std::uint64_t>(n) * 0x0100'0000ULL;
-        for (unsigned p = 0; p < 16; ++p) {
-            m.addressMap().place(text + static_cast<Addr>(p) * pageBytes,
-                                 static_cast<NodeId>(n));
-        }
-    }
+    stress::Stream stream(m, o);
 
     if (o.bugDroploss) {
         // The lost messages wedge the workload, so Machine::run()'s
@@ -277,9 +205,6 @@ runModel(MachineModel model, const ChaosOptions &o)
 void
 printRepro(const ChaosOptions &o, MachineModel model, std::FILE *out)
 {
-    std::string name(modelName(model));
-    for (auto &ch : name)
-        ch = static_cast<char>(std::tolower(ch));
     std::string protoFlag;
     if (o.protocol != proto::ProtocolKind::Bitvector)
         protoFlag = " --protocol=" +
@@ -288,7 +213,7 @@ printRepro(const ChaosOptions &o, MachineModel model, std::FILE *out)
                  "  repro: chaos_stress --models=%s --nodes=%u "
                  "--threads=%u --seed=%llu --ops=%u --faults=%s "
                  "--retry=%s%s%s%s\n",
-                 name.c_str(), o.nodes, o.threads,
+                 stress::flagName(model).c_str(), o.nodes, o.threads,
                  static_cast<unsigned long long>(o.seed), o.ops,
                  resolvePlan(o).toString().c_str(),
                  fault::retryPolicyToString(o.retry).c_str(),
@@ -304,22 +229,9 @@ shrinkFailure(MachineModel model, const ChaosOptions &base)
     ChaosOptions o = base;
     o.abortOnViolation = false; // latch so we can observe and continue
     o.minInjected = 0;
-    unsigned failing = o.ops;
-    unsigned lo = 1, hi = o.ops;
-    while (lo < hi) {
-        unsigned mid = lo + (hi - lo) / 2;
-        o.ops = mid;
-        std::fprintf(stderr, "shrink: trying ops=%u ...\n", mid);
-        if (runModel(model, o).violations > 0) {
-            failing = mid;
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    o.ops = failing;
-    std::fprintf(stderr, "shrink: minimal failing op count is %u\n",
-                 failing);
+    o.ops = stress::shrinkOps(o, [model](const ChaosOptions &t) {
+        return runModel(model, t).violations > 0;
+    });
     printRepro(o, model, stderr);
 }
 
@@ -332,35 +244,16 @@ chaosMain(int argc, char **argv)
         auto value = [&arg]() {
             return arg.substr(arg.find('=') + 1);
         };
-        if (arg.rfind("--models=", 0) == 0) {
-            o.models.clear();
-            std::string csv = value();
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                std::size_t comma = csv.find(',', pos);
-                std::string tok = csv.substr(
-                    pos, comma == std::string::npos ? comma : comma - pos);
-                MachineModel model;
-                if (!modelFromName(tok, model)) {
-                    std::fprintf(stderr, "unknown model '%s'\n",
-                                 tok.c_str());
-                    return 2;
-                }
-                o.models.push_back(model);
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
-        } else if (arg.rfind("--nodes=", 0) == 0) {
-            o.nodes = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            o.threads = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            o.seed = std::stoull(value());
-        } else if (arg.rfind("--ops=", 0) == 0) {
-            o.ops = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg.rfind("--faults=", 0) == 0) {
+        std::string err;
+        if (stress::parseStreamFlag(arg, o, &err))
+            continue;
+        if (!err.empty()) {
+            std::fprintf(stderr, "%s\n", err.c_str());
+            return 2;
+        }
+        if (arg.rfind("--faults=", 0) == 0) {
             o.faultSpec = value();
         } else if (arg.rfind("--retry=", 0) == 0) {
-            std::string err;
             if (!fault::parseRetryPolicy(value(), o.retry, &err)) {
                 std::fprintf(stderr, "--retry: %s\n", err.c_str());
                 return 2;
@@ -371,25 +264,16 @@ chaosMain(int argc, char **argv)
             o.reportPath = value();
         } else if (arg.rfind("--wedge-snap=", 0) == 0) {
             o.wedgeSnapPath = value();
-        } else if (arg.rfind("--protocol=", 0) == 0) {
-            if (!proto::protocolFromName(value(), o.protocol)) {
-                std::fprintf(stderr, "--protocol: unknown '%s' (valid: %s)\n",
-                             value().c_str(),
-                             std::string(proto::protocolNameList()).c_str());
-                return 2;
-            }
         } else if (arg == "--bug=droploss") {
             o.bugDroploss = true;
-        } else if (arg == "--quick") {
-            o.quick = true;
-        } else if (arg == "--shrink") {
-            o.shrink = true;
-        } else if (arg == "--abort-off") {
-            o.abortOnViolation = false;
         } else {
             std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
             return 2;
         }
+    }
+    if (std::string why; !stress::checkSizes(o, &why)) {
+        std::fprintf(stderr, "%s\n", why.c_str());
+        return 2;
     }
     if (o.quick) {
         // CI mode: fewer ops but still every machine model — chaos

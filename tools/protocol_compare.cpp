@@ -28,13 +28,14 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "machine/machine.hpp"
 #include "protocol/assembler.hpp"
 #include "protocol/variants/variants.hpp"
+#include "serve/proto.hpp"
 #include "serve/runner.hpp"
 #include "sim/sweep.hpp"
 
@@ -55,30 +56,11 @@ struct CompareOptions
     std::vector<proto::ProtocolKind> protocols{
         proto::allProtocols.begin(), proto::allProtocols.end()};
     std::vector<std::string> apps{"fft"};
-    unsigned nodes = 8;
-    unsigned ways = 1;
-    double scale = 0.05;
-    ExecParams exec;
+    RunConfig base; ///< Every cell's sizes, scale and exec mode.
     unsigned jobs = 0;
     std::string jsonPath;
     bool markdown = false;
 };
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
 
 /** Dump the assembled handler program of each requested protocol. */
 int
@@ -86,7 +68,7 @@ listPrograms(const CompareOptions &o)
 {
     for (auto kind : o.protocols) {
         proto::DirFormat fmt =
-            proto::protocolDirFormat(kind, o.nodes <= 16 ? 16 : 32);
+            proto::protocolDirFormat(kind, o.base.nodes <= 16 ? 16 : 32);
         proto::HandlerImage image = proto::buildProtocolImage(kind, fmt);
         std::printf("#### protocol %s (%u-bit vector, %u-byte entries)\n",
                     std::string(proto::protocolName(kind)).c_str(),
@@ -120,14 +102,10 @@ compareMain(const CompareOptions &o)
     for (const std::string &app : o.apps) {
         for (auto model : o.models) {
             for (auto kind : o.protocols) {
-                RunConfig c;
+                RunConfig c = o.base;
                 c.model = model;
                 c.protocol = kind;
-                c.nodes = o.nodes;
-                c.ways = o.ways;
                 c.app = app;
-                c.scale = o.scale;
-                c.exec = o.exec;
                 cfgs.push_back(c);
             }
         }
@@ -258,16 +236,24 @@ int
 toolMain(int argc, char **argv)
 {
     CompareOptions o;
+    o.base.nodes = 8;
+    o.base.scale = 0.05;
     bool list = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto value = [&arg]() {
             return arg.substr(arg.find('=') + 1);
         };
+        auto digits = [&](auto &n) {
+            bool ok = parseDigits(value(), n);
+            if (!ok)
+                std::fprintf(stderr, "bad %s\n", arg.c_str());
+            return ok;
+        };
         std::string err;
         if (arg.rfind("--models=", 0) == 0) {
             o.models.clear();
-            for (const std::string &tok : splitCommas(value())) {
+            for (const std::string &tok : splitList(value())) {
                 MachineModel model;
                 if (!modelFromName(tok, model)) {
                     std::fprintf(stderr, "unknown model '%s'\n",
@@ -278,7 +264,7 @@ toolMain(int argc, char **argv)
             }
         } else if (arg.rfind("--protocols=", 0) == 0) {
             o.protocols.clear();
-            for (const std::string &tok : splitCommas(value())) {
+            for (const std::string &tok : splitList(value())) {
                 proto::ProtocolKind kind;
                 if (!proto::protocolFromName(tok, kind)) {
                     std::fprintf(
@@ -290,16 +276,17 @@ toolMain(int argc, char **argv)
                 o.protocols.push_back(kind);
             }
         } else if (arg.rfind("--apps=", 0) == 0) {
-            o.apps = splitCommas(value());
+            o.apps = splitList(value());
         } else if (arg.rfind("--nodes=", 0) == 0) {
-            o.nodes = static_cast<unsigned>(std::stoul(value()));
+            if (!digits(o.base.nodes))
+                return 2;
         } else if (arg.rfind("--ways=", 0) == 0) {
-            o.ways = static_cast<unsigned>(std::stoul(value()));
-        } else if (arg.rfind("--scale=", 0) == 0) {
-            o.scale = std::atof(value().c_str());
-        } else if (arg.rfind("--exec=", 0) == 0) {
-            if (!ExecParams::parse(value(), o.exec, &err)) {
-                std::fprintf(stderr, "--exec: %s\n", err.c_str());
+            if (!digits(o.base.ways))
+                return 2;
+        } else if (arg.rfind("--scale=", 0) == 0 ||
+                   arg.rfind("--exec=", 0) == 0) {
+            if (!serve::parseCellFlag(arg, o.base, &err)) {
+                std::fprintf(stderr, "%s\n", err.c_str());
                 return 2;
             }
         } else if (arg.rfind("--jobs=", 0) == 0) {
@@ -312,7 +299,7 @@ toolMain(int argc, char **argv)
         } else if (arg == "--markdown") {
             o.markdown = true;
         } else if (arg == "--quick") {
-            o.scale *= 0.5;
+            o.base.scale *= 0.5;
             o.models = {MachineModel::Base, MachineModel::SMTp};
         } else if (arg == "--list") {
             list = true;
@@ -331,6 +318,11 @@ toolMain(int argc, char **argv)
             std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
             return 2;
         }
+    }
+    if (std::string why;
+        !checkMachineParams(serve::paramsFor(o.base), &why)) {
+        std::fprintf(stderr, "%s\n", why.c_str());
+        return 2;
     }
     if (list)
         return listPrograms(o);

@@ -25,11 +25,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "serve/client.hpp"
 #include "serve/proto.hpp"
 
@@ -54,9 +54,11 @@ usage()
         "run options (defaults in parentheses):\n"
         "  --models=A,B          machine models (SMTp)\n"
         "  --apps=a,b            applications (fft)\n"
-        "  --nodes=N,M           node counts (8)\n"
+        "  --nodes=N,M           node counts, powers of two to 32 (8)\n"
         "  --ways=N              SMT contexts per CPU (1)\n"
         "  --scale=F             problem scale factor (0.05)\n"
+        "  --dcache-div=N        directory-cache divisor, a power of "
+        "two (16)\n"
         "  --exec=MODE           serial | parallel[:T] (serial)\n"
         "  --check=LEVEL         off | asserts | full (off)\n"
         "  --protocol=NAME       bitvector | migratory | phase-priority\n"
@@ -72,43 +74,12 @@ usage()
     return 2;
 }
 
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t comma = s.find(',', start);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > start)
-            out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
+/** Print a stats or health reply, one member per line. */
 int
-runStats(Client &client)
+printReply(Client &client, bool (Client::*query)(JsonValue &))
 {
     JsonValue v;
-    if (!client.stats(v)) {
-        std::fprintf(stderr, "smtpctl: %s\n", client.error().c_str());
-        return 1;
-    }
-    for (const auto &[key, value] : v.members()) {
-        if (key == "type" || key == "proto")
-            continue;
-        std::printf("%-24s %.0f\n", key.c_str(), value.number());
-    }
-    return 0;
-}
-
-int
-runHealth(Client &client)
-{
-    JsonValue v;
-    if (!client.health(v)) {
+    if (!(client.*query)(v)) {
         std::fprintf(stderr, "smtpctl: %s\n", client.error().c_str());
         return 1;
     }
@@ -154,6 +125,12 @@ main(int argc, char **argv)
                                                   : nullptr;
         };
         std::string err;
+        if (parseCellFlag(arg, base, &err))
+            continue;
+        if (!err.empty()) {
+            std::fprintf(stderr, "smtpctl: %s\n", err.c_str());
+            return 2;
+        }
         if (const char *v = value("--socket=")) {
             socketPath = v;
         } else if (const char *v = value("--models=")) {
@@ -163,50 +140,22 @@ main(int argc, char **argv)
         } else if (const char *v = value("--nodes=")) {
             nodesList = v;
         } else if (const char *v = value("--ways=")) {
-            base.ways = static_cast<unsigned>(std::atoi(v));
-        } else if (const char *v = value("--scale=")) {
-            base.scale = std::atof(v);
-        } else if (const char *v = value("--exec=")) {
-            if (!ExecParams::parse(v, base.exec, &err)) {
-                std::fprintf(stderr, "smtpctl: %s\n", err.c_str());
-                return 2;
-            }
-        } else if (const char *v = value("--check=")) {
-            if (!parseCheckLevel(v, base.checkLevel, &err)) {
-                std::fprintf(stderr, "smtpctl: %s\n", err.c_str());
-                return 2;
-            }
-        } else if (const char *v = value("--protocol=")) {
-            if (!proto::protocolFromName(v, base.protocol)) {
-                std::fprintf(
-                    stderr, "smtpctl: unknown protocol '%s' (expected %s)\n",
-                    v, std::string(proto::protocolNameList()).c_str());
-                return 2;
-            }
-        } else if (const char *v = value("--sample=")) {
-            if (!SampleSpec::parse(v, base.sample, &err)) {
-                std::fprintf(stderr, "smtpctl: %s\n", err.c_str());
-                return 2;
-            }
-        } else if (const char *v = value("--faults=")) {
-            if (!fault::FaultPlan::parse(v, base.faults, &err)) {
-                std::fprintf(stderr, "smtpctl: %s\n", err.c_str());
-                return 2;
-            }
-        } else if (const char *v = value("--retry=")) {
-            if (!fault::parseRetryPolicy(v, base.retryPolicy, &err)) {
-                std::fprintf(stderr, "smtpctl: %s\n", err.c_str());
+            if (!parseDigits(v, base.ways)) {
+                std::fprintf(stderr, "smtpctl: bad --ways=%s\n", v);
                 return 2;
             }
         } else if (const char *v = value("--priority=")) {
-            priority = std::atoi(v);
+            bool neg = *v == '-';
+            if (!parseDigits(v + neg, priority)) {
+                std::fprintf(stderr, "smtpctl: bad --priority=%s\n", v);
+                return 2;
+            }
+            priority = neg ? -priority : priority;
         } else if (const char *v = value("--deadline=")) {
-            long ms = std::atol(v);
-            if (ms < 0) {
+            if (!parseDigits(v, deadlineMs)) {
                 std::fprintf(stderr, "smtpctl: bad --deadline=%s\n", v);
                 return 2;
             }
-            deadlineMs = static_cast<std::uint64_t>(ms);
         } else if (const char *v = value("--json=")) {
             jsonPath = v;
         } else if (arg == "--trace") {
@@ -233,24 +182,23 @@ main(int argc, char **argv)
     // usage errors (2) even when the daemon is down (1).
     std::vector<RunConfig> cells;
     if (command == "run") {
-        for (const std::string &modelStr : splitCommas(models)) {
+        for (const std::string &modelStr : splitList(models)) {
             MachineModel model;
             if (!modelFromName(modelStr, model)) {
                 std::fprintf(stderr, "smtpctl: unknown model '%s'\n",
                              modelStr.c_str());
                 return 2;
             }
-            for (const std::string &app : splitCommas(apps)) {
-                for (const std::string &n : splitCommas(nodesList)) {
+            for (const std::string &app : splitList(apps)) {
+                for (const std::string &n : splitList(nodesList)) {
                     RunConfig cfg = base;
                     cfg.model = model;
                     cfg.app = app;
-                    cfg.nodes =
-                        static_cast<unsigned>(std::atoi(n.c_str()));
-                    if (cfg.nodes == 0) {
-                        std::fprintf(stderr,
-                                     "smtpctl: bad node count '%s'\n",
-                                     n.c_str());
+                    std::string why = "bad node count '" + n + "'";
+                    if (!parseDigits(n, cfg.nodes) ||
+                        !checkMachineParams(paramsFor(cfg), &why)) {
+                        std::fprintf(stderr, "smtpctl: %s\n",
+                                     why.c_str());
                         return 2;
                     }
                     if (trace)
@@ -258,10 +206,6 @@ main(int argc, char **argv)
                     cells.push_back(std::move(cfg));
                 }
             }
-        }
-        if (cells.empty()) {
-            std::fprintf(stderr, "smtpctl: nothing to run\n");
-            return 2;
         }
     }
 
@@ -280,10 +224,9 @@ main(int argc, char **argv)
         std::printf("pong\n");
         return 0;
     }
-    if (command == "stats")
-        return runStats(client);
-    if (command == "health")
-        return runHealth(client);
+    if (command == "stats" || command == "health")
+        return printReply(client, command == "stats" ? &Client::stats
+                                                     : &Client::health);
     if (command == "shutdown") {
         if (!client.shutdown()) {
             std::fprintf(stderr, "smtpctl: %s\n",

@@ -20,10 +20,10 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/parse.hpp"
 #include "serve/server.hpp"
 #include "sim/sweep.hpp"
 
@@ -74,6 +74,12 @@ main(int argc, char **argv)
             return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
                                                   : nullptr;
         };
+        auto digits = [&arg](const char *v, auto &n, unsigned min) {
+            if (smtp::parseDigits(v, n) && n >= min)
+                return true;
+            std::fprintf(stderr, "smtpd: bad %s\n", arg.c_str());
+            return false;
+        };
         if (const char *v = value("--socket=")) {
             opt.socketPath = v;
         } else if (const char *v = value("--state-dir=")) {
@@ -85,27 +91,14 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (const char *v = value("--deadline-ms=")) {
-            long n = std::atol(v);
-            if (n < 0) {
-                std::fprintf(stderr, "smtpd: bad --deadline-ms=%s\n", v);
+            if (!digits(v, opt.deadlineMs, 0))
                 return 2;
-            }
-            opt.deadlineMs = static_cast<std::uint64_t>(n);
         } else if (const char *v = value("--max-attempts=")) {
-            long n = std::atol(v);
-            if (n < 1) {
-                std::fprintf(stderr, "smtpd: bad --max-attempts=%s\n",
-                             v);
+            if (!digits(v, opt.maxAttempts, 1))
                 return 2;
-            }
-            opt.maxAttempts = static_cast<unsigned>(n);
         } else if (const char *v = value("--max-queue=")) {
-            long n = std::atol(v);
-            if (n < 1) {
-                std::fprintf(stderr, "smtpd: bad --max-queue=%s\n", v);
+            if (!digits(v, opt.maxQueuedCells, 1))
                 return 2;
-            }
-            opt.maxQueuedCells = static_cast<std::size_t>(n);
         } else if (const char *v = value("--retry-policy=")) {
             std::string err;
             // Fault-layer grammar; the serve layer reads the numbers
@@ -115,7 +108,8 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (const char *v = value("--retry-seed=")) {
-            opt.retrySeed = std::strtoull(v, nullptr, 10);
+            if (!digits(v, opt.retrySeed, 0))
+                return 2;
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
