@@ -194,6 +194,7 @@ SmtCpu::SmtCpu(EventQueue &eq, const CpuParams &params,
         }
         threads_.push_back(std::move(ts));
     }
+    fetchOrder_.resize(nthreads);
 
     cache_->setInvalHook([this](Addr line) { onLineInvalidated(line); });
 }
@@ -265,6 +266,7 @@ SmtCpu::start()
 void
 SmtCpu::poke()
 {
+    ++activity_;
     if (started_)
         scheduleTick();
 }
@@ -313,6 +315,15 @@ SmtCpu::scheduleTick()
 void
 SmtCpu::tick()
 {
+    // After an idle tick nothing can move until the pipeline is touched
+    // or a fetch hold-off expires: the stages would redo the same failed
+    // checks in either service order.
+    bool quiet = activity_ == quietActivity_ && now() < quietUntil_;
+    if (quiet && !idleShadowCheck_) {
+        idleTick();
+        return;
+    }
+    std::uint64_t before = activity_;
     ++cycles;
     commitStage();
     drainStoreBuffer();
@@ -324,8 +335,51 @@ SmtCpu::tick()
     if (params_.protocolThread)
         sampleProtoOccupancy();
     frontPriorityApp_ = !frontPriorityApp_;
-    if (!idle())
+    bool was_idle = activity_ == before;
+    bool sleeps = idle();
+    SMTP_ASSERT(!quiet || (was_idle && !sleeps),
+                "node %u: the idle-cycle path would skip pipeline work at "
+                "tick %llu", unsigned(self_),
+                static_cast<unsigned long long>(now()));
+    quietActivity_ = activity_;
+    quietUntil_ = was_idle ? nextFetchResume() : 0;
+    if (!sleeps)
         scheduleTick();
+}
+
+void
+SmtCpu::idleTick()
+{
+    // The per-cycle effects of a tick in which no stage moves.
+    ++cycles;
+    for (auto &tp : threads_) {
+        if (memStallHead(*tp) != nullptr)
+            ++tp->stats.memStallCycles;
+    }
+    rrCommit_ = (rrCommit_ + 1) % static_cast<unsigned>(threads_.size());
+    frontPriorityApp_ = !frontPriorityApp_;
+    scheduleTick();
+}
+
+/** The ROB head when it stalls graduation on memory, else nullptr. */
+SmtCpu::DynInst *
+SmtCpu::memStallHead(const ThreadState &t)
+{
+    DynInst *head = t.rob.empty() ? nullptr : t.rob.front();
+    if (head == nullptr || !isMemOp(head->op.cls) || head->completed)
+        return nullptr;
+    return head;
+}
+
+Tick
+SmtCpu::nextFetchResume() const
+{
+    Tick until = maxTick;
+    for (const auto &t : threads_) {
+        if (t->fetchResumeTick > now())
+            until = std::min(until, t->fetchResumeTick);
+    }
+    return until;
 }
 
 // --------------------------------------------------------------- fetch
@@ -368,8 +422,10 @@ SmtCpu::synthWrongPath(ThreadState &t)
 void
 SmtCpu::fetchStage()
 {
-    // ICOUNT: order runnable threads by in-flight count.
-    std::vector<ThreadState *> order;
+    // ICOUNT: order runnable threads by in-flight count, ties by tid.
+    // Threads arrive in tid order, so an insertion sort that never moves
+    // past an equal count keeps the tie order.
+    unsigned runnable = 0;
     for (auto &t : threads_) {
         if (t->source == nullptr)
             continue;
@@ -378,18 +434,16 @@ SmtCpu::fetchStage()
         if (!t->wrongPathMode &&
             (t->source->finished() || !t->source->hasNext()))
             continue;
-        order.push_back(t.get());
+        unsigned i = runnable++;
+        for (; i > 0 && fetchOrder_[i - 1]->icount > t->icount; --i)
+            fetchOrder_[i] = fetchOrder_[i - 1];
+        fetchOrder_[i] = t.get();
     }
-    std::sort(order.begin(), order.end(),
-              [](const ThreadState *a, const ThreadState *b) {
-                  if (a->icount != b->icount)
-                      return a->icount < b->icount;
-                  return a->tid < b->tid;
-              });
 
     unsigned slots = params_.fetchWidth;
     unsigned threads_used = 0;
-    for (auto *t : order) {
+    for (unsigned k = 0; k < runnable; ++k) {
+        ThreadState *t = fetchOrder_[k];
         if (threads_used >= params_.fetchThreads || slots == 0)
             break;
         unsigned n = fetchFromThread(*t, slots);
@@ -436,6 +490,7 @@ SmtCpu::fetchFromThread(ThreadState &t, unsigned max_slots)
         if (!t.wrongPathMode) {
             Addr line = op.pc & ~static_cast<Addr>(l1iLineBytes - 1);
             if (line != t.lastFetchLine) {
+                ++activity_;
                 if (!t.isProtocol && !itlb_.access(pageAlign(op.pc))) {
                     ++t.stats.itlbMisses;
                     t.fetchResumeTick =
@@ -459,6 +514,7 @@ SmtCpu::fetchFromThread(ThreadState &t, unsigned max_slots)
         }
 
         // Build the dynamic instruction.
+        ++activity_;
         auto *dyn = live_->alloc();
         dyn->op = op;
         dyn->tid = t.tid;
@@ -526,6 +582,7 @@ SmtCpu::decodeStage()
         while (budget > 0 && !src.empty()) {
             DynInst *dyn = src.front();
             if (dyn->squashed) {
+                ++activity_;
                 src.pop_front();
                 continue;
             }
@@ -541,6 +598,7 @@ SmtCpu::decodeStage()
                 if (renameQApp_.size() + res >= cap || total >= cap)
                     break;
             }
+            ++activity_;
             src.pop_front();
             dst.push_back(dyn);
             --budget;
@@ -693,11 +751,13 @@ SmtCpu::renameStage()
         while (budget > 0 && !q.empty()) {
             DynInst *dyn = q.front();
             if (dyn->squashed) {
+                ++activity_;
                 q.pop_front();
                 continue;
             }
             if (!renameOne(dyn))
                 break; // In-order within the section.
+            ++activity_;
             q.pop_front();
             --budget;
         }
@@ -734,6 +794,7 @@ SmtCpu::issueStage()
         for (auto it = q.begin(); it != q.end() && issued < width;) {
             DynInst *dyn = *it;
             if (dyn->squashed) {
+                ++activity_;
                 it = q.erase(it);
                 continue;
             }
@@ -741,6 +802,7 @@ SmtCpu::issueStage()
                 ++it;
                 continue;
             }
+            ++activity_;
             Cycles lat = 1;
             switch (dyn->op.cls) {
               case OpClass::IntMul: lat = params_.intMulLat; break;
@@ -768,6 +830,7 @@ SmtCpu::issueStage()
 bool
 SmtCpu::tryMemAccess(DynInst *dyn)
 {
+    ++activity_;
     ThreadState &t = *threads_[dyn->tid];
     const MicroOp &op = dyn->op;
     std::uint64_t uid = dyn->uid;
@@ -893,6 +956,7 @@ SmtCpu::completeInst(DynInst *dyn)
 {
     if (dyn->squashed)
         return;
+    ++activity_;
     dyn->completed = true;
     if (dyn->pdst != 0xffff) {
         (dyn->pdstFp ? fpReady_ : intReady_)[dyn->pdst] = true;
@@ -1003,6 +1067,7 @@ SmtCpu::squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx)
 void
 SmtCpu::execNonSpec(DynInst *dyn)
 {
+    ++activity_;
     dyn->nonSpecStarted = true;
     std::uint64_t uid = dyn->uid;
     auto complete_at = [&](Tick when) {
@@ -1040,9 +1105,8 @@ SmtCpu::commitStage()
     // memory operation at the top of the active list.
     for (auto &tp : threads_) {
         ThreadState &t = *tp;
-        DynInst *head = t.rob.empty() ? nullptr : t.rob.front();
-        bool blocked =
-            head != nullptr && isMemOp(head->op.cls) && !head->completed;
+        DynInst *head = memStallHead(t);
+        bool blocked = head != nullptr;
         if (blocked)
             ++t.stats.memStallCycles;
         if (trace_ != nullptr) {
@@ -1084,6 +1148,7 @@ SmtCpu::commitStage()
             if (head->replayTrap) {
                 // SC replay: the line was invalidated under a completed
                 // load; re-execute it and charge the refetch.
+                ++activity_;
                 head->replayTrap = false;
                 head->completed = false;
                 head->memAccessed = false;
@@ -1115,6 +1180,7 @@ SmtCpu::commitStage()
             }
 
             // Retire.
+            ++activity_;
             if (isMemOp(head->op.cls)) {
                 SMTP_ASSERT(!t.lsqOrder.empty() &&
                                 t.lsqOrder.front() == head,
@@ -1154,6 +1220,7 @@ SmtCpu::drainStoreBuffer()
         req.addr = e.addr;
         req.tid = e.tid;
         req.done = SbDrainEv{this};
+        ++activity_;
         if (cache_->access(req) != CacheHierarchy::Outcome::Retry)
             sbDrainBusy_ = true;
     }
@@ -1178,6 +1245,7 @@ SmtCpu::drainStoreBuffer()
         req.addr = it->addr;
         req.tid = it->tid;
         req.done = ProtoSbDrainEv{this, it->addr};
+        ++activity_;
         if (cache_->access(req) != CacheHierarchy::Outcome::Retry)
             sbProtoDrainBusy_ = true;
     }
@@ -1188,6 +1256,7 @@ SmtCpu::drainStoreBuffer()
 void
 SmtCpu::onLineInvalidated(Addr line)
 {
+    ++activity_;
     for (auto &tp : threads_) {
         ThreadState &t = *tp;
         if (t.isProtocol)
@@ -1216,6 +1285,7 @@ SmtCpu::FetchDoneEv::operator()() const
     ThreadState &t = *c->threads_[tid];
     t.fetchStalled = false;
     t.lastFetchLine = line;
+    ++c->activity_;
     c->scheduleTick();
 }
 
@@ -1239,6 +1309,7 @@ void
 SmtCpu::SbDrainEv::operator()() const
 {
     c->sbDrainBusy_ = false;
+    ++c->activity_;
     SMTP_ASSERT(!c->storeBuffer_.empty() &&
                     !c->storeBuffer_.front().protocolSpace,
                 "store buffer head changed under drain");
@@ -1250,6 +1321,7 @@ void
 SmtCpu::ProtoSbDrainEv::operator()() const
 {
     c->sbProtoDrainBusy_ = false;
+    ++c->activity_;
     for (auto it = c->storeBuffer_.begin(); it != c->storeBuffer_.end();
          ++it) {
         if (it->protocolSpace && it->addr == key) {
@@ -1268,6 +1340,7 @@ SmtCpu::io(Ar &ar)
     // append-only and slots never move). Restore rebuilds the pool from
     // scratch; every queue below re-resolves its members by uid.
     if constexpr (Ar::loading) {
+        quietUntil_ = 0;
         live_ = std::make_unique<LiveRegistry>();
         std::uint64_t live_count = ar.count(64);
         for (std::uint64_t i = 0; ar.ok() && i < live_count; ++i) {

@@ -134,6 +134,13 @@ class SmtCpu
     /** Attach the node's pipeline telemetry buffer (stalls, stealing). */
     void setTrace(trace::TraceBuffer *buf) { trace_ = buf; }
 
+    /**
+     * Prove the idle-cycle path (`--check=full`): every tick that would
+     * take it runs the full pipeline instead and asserts that nothing
+     * moved.
+     */
+    void setIdleShadowCheck(bool on) { idleShadowCheck_ = on; }
+
     /** Begin ticking. */
     void start();
 
@@ -302,6 +309,9 @@ class SmtCpu
     Tick cyc(Cycles c) const { return clock_.cyclesToTicks(c); }
 
     void tick();
+    void idleTick();
+    static DynInst *memStallHead(const ThreadState &t);
+    Tick nextFetchResume() const;
     void scheduleTick();
 
     void fetchStage();
@@ -388,6 +398,23 @@ class SmtCpu
     unsigned rrCommit_ = 0;
     bool tickScheduled_ = false;
     bool started_ = false;
+
+    /** ICOUNT fetch order, sized once to the thread contexts. */
+    std::vector<ThreadState *> fetchOrder_;
+
+    /**
+     * Idle-cycle gating. activity_ counts every pipeline state change,
+     * cache/TLB access attempt and outside touch (completions, fills,
+     * drains, invalidations, poke()). A full tick that leaves it
+     * unchanged is idle; the ticks after it take idleTick() while it
+     * stays at quietActivity_ and no fetch hold-off expires
+     * (quietUntil_). None of this is snapshot state: a restored
+     * pipeline starts with one full tick, which does the same thing.
+     */
+    std::uint64_t activity_ = 0;
+    std::uint64_t quietActivity_ = 0;
+    Tick quietUntil_ = 0;
+    bool idleShadowCheck_ = false;
 
     Tlb itlb_, dtlb_;
 };

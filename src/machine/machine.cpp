@@ -281,6 +281,7 @@ Machine::Machine(const MachineParams &params)
             mc->setChecker(checker_.get());
             checker_->addDumpHook("node" + std::to_string(n) + ".mc",
                                   [mc](std::FILE *f) { mc->debugState(f); });
+            node->cpu->setIdleShadowCheck(checker_->fullMirror());
         }
         node->cache->connect(
             [mc](const proto::Message &m) { return mc->lmiEnqueue(m); },

@@ -237,6 +237,11 @@ MemController::popRequestPhasePriority(Message &out)
     return true;
 }
 
+/**
+ * Poll at the deferred head's retry time. A re-deferral inside the
+ * dispatch loop may find the head already due; its poll is the next
+ * tick's, since the loop goes on dispatching now.
+ */
 void
 MemController::scheduleDispatchPoll()
 {
@@ -248,15 +253,42 @@ MemController::scheduleDispatchPoll()
 }
 
 void
+MemController::wakeDispatch()
+{
+    if (!parked_)
+        return;
+    parked_ = false;
+    dispatchPollScheduled_ = true;
+    // A poll chain started at parkTick_ polls once per tick, each poll
+    // queued during the tick before: the one that sees a free in the
+    // parking tick is the next tick's; later, it is this tick's, which
+    // runs after every event queued before the tick began (the mark).
+    if (eq_->curTick() == parkTick_)
+        eq_->schedule(parkTick_ + 1, DispatchPollEv{this});
+    else
+        eq_->scheduleAtMark(DispatchPollEv{this});
+}
+
+void
 MemController::tryDispatch()
 {
     ++tryDispatchCalls;
     lastTryDispatch = eq_->curTick();
+    SMTP_ASSERT(!parked_ || agent_ == nullptr || !agent_->canAccept(),
+                "protocol agent freed without waking the parked dispatch");
     while (agent_ != nullptr && agent_->canAccept()) {
         Message msg;
         if (!popNextMessage(msg))
             break;
         dispatch(msg);
+    }
+    if (!deferQ_.empty() && deferQ_.front().first <= eq_->curTick()) {
+        // Due but undispatched: the agent is busy. Park until it frees.
+        if (!dispatchPollScheduled_ && !parked_) {
+            parked_ = true;
+            parkTick_ = eq_->curTick();
+        }
+        return;
     }
     scheduleDispatchPoll();
 }
@@ -660,6 +692,7 @@ MemController::handlerDone(TransactionCtx *ctx_raw)
         ctxs_.erase(it);
     --inFlight_;
     eq_->scheduleIn(clock_.period(), PokeEv{this});
+    wakeDispatch();
 }
 
 std::uint64_t
@@ -777,6 +810,12 @@ MemController::io(Ar &ar)
     ar.u32(pendingDelayedSends_);
     ar.u32(pendingLocalDeliveries_);
     ar.b(dispatchPollScheduled_);
+    ar.b(parked_);
+    ar.u64(parkTick_);
+    if constexpr (Ar::loading) {
+        if (parked_ && dispatchPollScheduled_)
+            ar.fail("corrupt snapshot: dispatch both parked and polled");
+    }
     ar.b(niOutDrainScheduled_);
 
     for (Tick &t : mshrReady_)

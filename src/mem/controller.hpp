@@ -128,11 +128,20 @@ class MemController : public proto::ExecEnv
         return ctx->probeReady;
     }
 
-    /** The agent finished the handler (its ldctxt completed). */
+    /**
+     * The agent finished the handler (its ldctxt completed). Every agent
+     * calls this right after freeing itself, which wakes a parked
+     * dispatch.
+     */
     void handlerDone(TransactionCtx *ctx);
 
     /** The agent's acceptance state changed (e.g. an LAS slot opened). */
-    void agentPoke() { tryDispatch(); }
+    void
+    agentPoke()
+    {
+        wakeDispatch();
+        tryDispatch();
+    }
 
     /** Look up a live transaction (agent state restore). */
     TransactionCtx *
@@ -172,7 +181,10 @@ class MemController : public proto::ExecEnv
         template <class Ar> void io(Ar &ar) { ar.owner(mc, badNodeEvent); }
     };
 
-    /** Deferred-intervention replay poll. */
+    /**
+     * Deferred-intervention replay poll: at a deferred message's retry
+     * time, or where a parked dispatch wakes.
+     */
     struct DispatchPollEv
     {
         static constexpr std::uint32_t kSnapId = snap::evMcDispatchPoll;
@@ -371,6 +383,9 @@ class MemController : public proto::ExecEnv
         sdram_.setTrace(buf);
     }
 
+    /** A due deferred message waits, unpolled, for the agent to free. */
+    bool dispatchParked() const { return parked_; }
+
     ProtocolRam &ram() { return ram_; }
     Sdram &sdram() { return sdram_; }
     const ClockDomain &clock() const { return clock_; }
@@ -407,11 +422,13 @@ class MemController : public proto::ExecEnv
                      pendingLocalDeliveries_);
         std::fprintf(out,
                      "    mc: tryDispatch calls=%llu last=%llu lastLmi=%llu "
-                     "agentAccept=%d\n",
+                     "agentAccept=%d parked=%d parkTick=%llu\n",
                      static_cast<unsigned long long>(tryDispatchCalls),
                      static_cast<unsigned long long>(lastTryDispatch),
                      static_cast<unsigned long long>(lastLmiEnqueue),
-                     agent_ ? static_cast<int>(agent_->canAccept()) : -1);
+                     agent_ ? static_cast<int>(agent_->canAccept()) : -1,
+                     static_cast<int>(parked_),
+                     static_cast<unsigned long long>(parkTick_));
         for (const auto &[id, ctx] : ctxs_) {
             std::fprintf(out, "    ctx %llu: %s addr=%llx memDone=%d\n",
                          static_cast<unsigned long long>(id),
@@ -458,6 +475,7 @@ class MemController : public proto::ExecEnv
   private:
     void tryDispatch();
     void scheduleDispatchPoll();
+    void wakeDispatch();
     void dispatch(const proto::Message &msg);
     bool popNextMessage(proto::Message &out);
     bool popRequestPhasePriority(proto::Message &out);
@@ -518,6 +536,14 @@ class MemController : public proto::ExecEnv
     unsigned pendingDelayedSends_ = 0;
     unsigned pendingLocalDeliveries_ = 0;
     bool dispatchPollScheduled_ = false;
+    /**
+     * A due deferred message waits on a busy agent and no poll is
+     * queued: the agent's free notification (handlerDone or agentPoke)
+     * schedules the poll where a once-per-tick poll chain started at
+     * parkTick_ would first have seen the agent free.
+     */
+    bool parked_ = false;
+    Tick parkTick_ = 0;
     bool niOutDrainScheduled_ = false;
 
     /** Per-MSHR staged-data availability (requester side). */

@@ -11,6 +11,16 @@
  * near/far/same-tick mixes. Entries carry an InlineCallback, so
  * scheduling a lambda with a small capture never touches the allocator
  * once the heap vector is warm.
+ *
+ * Sequence numbers are odd and step by 2, which leaves one even value
+ * between any two of them: the per-tick *mark*. It is taken at the
+ * first pop of a tick, or for tick `limit + 1` when a bounded
+ * run(limit) returns, and scheduleAtMark() inserts an event there: it
+ * runs after every same-priority event scheduled before the tick began
+ * and before every one scheduled during it (or in the barrier phase
+ * that follows run(limit)). Taking a mark consumes no sequence number,
+ * so a run stopped at run(limit) and resumed numbers its events exactly
+ * as an uninterrupted run does.
  */
 
 #ifndef SMTP_SIM_EVENTQ_HPP
@@ -58,7 +68,21 @@ class EventQueue
                     "scheduling event in the past (%llu < %llu)",
                     static_cast<unsigned long long>(when),
                     static_cast<unsigned long long>(curTick_));
-        heapPush(Entry{when, prio, seq_++, std::move(cb)});
+        heapPush(Entry{when, prio, seq_, std::move(cb)});
+        seq_ += 2;
+    }
+
+    /**
+     * Schedule @p cb at the current mark: the tick being run (from
+     * inside an event) or the tick after a bounded run(limit) returned.
+     * At most one event per tick may take the mark; two would tie.
+     */
+    void
+    scheduleAtMark(Callback cb)
+    {
+        SMTP_ASSERT(markTick_ != maxTick && markTick_ >= curTick_,
+                    "no mark for the current tick");
+        heapPush(Entry{markTick_, prioDefault, markSeq_, std::move(cb)});
     }
 
     /** Schedule @p cb @p delta ticks from now. */
@@ -97,8 +121,11 @@ class EventQueue
     {
         while (!heap_.empty() && heap_.front().when <= limit)
             runMin();
-        if (curTick_ < limit && limit != maxTick)
+        if (limit == maxTick)
+            return;
+        if (curTick_ < limit)
             curTick_ = limit;
+        takeMark(limit + 1);
     }
 
     /** Number of events executed so far (a cheap progress metric). */
@@ -110,7 +137,9 @@ class EventQueue
     // total order, with their *original* sequence numbers, so the bytes
     // do not depend on heap layout. Restoring preserves those seqs, so
     // same-tick tie-breaking — and therefore the entire event schedule
-    // — is bit-identical to the uninterrupted run.
+    // — is bit-identical to the uninterrupted run. The mark follows the
+    // entries: a save after run(limit) must resume with the mark that
+    // run took for tick limit + 1.
 
     template <class Ar>
     void
@@ -139,6 +168,11 @@ class EventQueue
                 }
                 heapPush(std::move(e));
             }
+            ar.u64(markTick_);
+            ar.u64(markSeq_);
+            if (ar.ok() && (seq_ % 2 == 0 || markSeq_ >= seq_ ||
+                            (markTick_ != maxTick && markTick_ < curTick_)))
+                ar.fail("corrupt snapshot: event queue mark out of range");
         } else {
             std::vector<Entry *> all;
             all.reserve(size());
@@ -157,6 +191,8 @@ class EventQueue
             ar.u64(all.size());
             for (Entry *e : all)
                 entry(ar, *e);
+            ar.u64(markTick_);
+            ar.u64(markSeq_);
         }
     }
 
@@ -197,15 +233,28 @@ class EventQueue
         std::pop_heap(heap_.begin(), heap_.end(), Later{});
         Entry e = std::move(heap_.back());
         heap_.pop_back();
+        takeMark(e.when);
         curTick_ = e.when;
         ++executed_;
         e.cb();
     }
 
+    /** The mark of tick @p when lies after every seq handed out so far. */
+    void
+    takeMark(Tick when)
+    {
+        if (markTick_ == when)
+            return;
+        markTick_ = when;
+        markSeq_ = seq_ - 1;
+    }
+
     std::vector<Entry> heap_; ///< Min-heap under Later.
     Tick curTick_ = 0;
-    std::uint64_t seq_ = 0;
+    std::uint64_t seq_ = 1;   ///< Next (odd) sequence number.
     std::uint64_t executed_ = 0;
+    Tick markTick_ = maxTick; ///< Tick the mark belongs to; none yet.
+    std::uint64_t markSeq_ = 0;
 };
 
 } // namespace smtp

@@ -38,7 +38,9 @@ namespace smtp::snap
 // v3: messages carry the requester's barrier-phase epoch (phase-priority
 // directory protocol) and the controller serializes its per-MSHR phase
 // stamps and request-arrival queues; older images are rejected cleanly.
-constexpr std::uint32_t kFormatVersion = 3;
+// v4: event queues serialize their per-tick mark after the entries and
+// the controller its parked-dispatch state (flag and park tick).
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr char kMagic[8] = {'S', 'M', 'T', 'P', 'S', 'N', 'A', 'P'};
 
 /** Builds a snapshot in memory, then writes it atomically. */

@@ -274,6 +274,122 @@ struct StressCase
     unsigned ops;
 };
 
+/**
+ * A protocol agent the test frees by hand. Its handlers never release
+ * their sends, so a request it takes never leaves the node and the
+ * requester's MSHR stays outstanding.
+ */
+class HoldAgent : public ProtocolAgent
+{
+  public:
+    explicit HoldAgent(MemController &mc) : mc_(&mc) { mc.setAgent(this); }
+
+    bool canAccept() const override { return ctx_ == nullptr; }
+    void start(TransactionCtx *ctx) override { ctx_ = ctx; }
+    Tick busyTicks() const override { return 0; }
+
+    void
+    free()
+    {
+        TransactionCtx *ctx = ctx_;
+        ctx_ = nullptr;
+        mc_->handlerDone(ctx);
+    }
+
+  private:
+    MemController *mc_;
+    TransactionCtx *ctx_ = nullptr;
+};
+
+struct ParkedRetry
+{
+    /** Ticks from the park to the retry's re-dispatch; maxTick if none. */
+    Tick delay = maxTick;
+    /** Deferrals seen by a zero-delay event the freeing event queues. */
+    std::uint64_t seenAfterFree = 0;
+};
+
+/**
+ * A forwarded intervention chasing node 0's outstanding miss is
+ * deferred; at its retry time the agent is busy, so the controller
+ * parks. The agent then frees @p free_delay ticks after the park, from
+ * an event queued before that tick began. The retry's re-dispatch is a
+ * second deferral, since the miss is still outstanding.
+ */
+ParkedRetry
+parkedRetry(Tick free_delay)
+{
+    ProtoMachine::Options opt;
+    opt.nodes = 2;
+    opt.checkLevel = check::CheckLevel::Off;
+    ProtoMachine m(opt);
+    MemController &mc = *m.nodes[0]->mc;
+    HoldAgent agent(mc);
+    EventQueue &eq = m.eq;
+
+    Addr x = m.addrAt(1, 0), y = m.addrAt(1, 1);
+    m.issue(0, MemCmd::Load, x, [] {});
+    eq.run(eq.curTick() + 20 * tickPerNs);
+    agent.free(); // The miss for x is dispatched; its MSHR stays open.
+
+    proto::Message fwd;
+    fwd.type = MsgType::FwdIntervSh;
+    fwd.addr = x;
+    fwd.src = 1;
+    fwd.dest = 0;
+    fwd.requester = 1;
+    EXPECT_TRUE(mc.niDeliver(fwd));
+    while (mc.probesDeferred.value() == 0 && eq.runOne()) {
+    }
+    EXPECT_EQ(mc.probesDeferred.value(), 1u);
+    Tick due = eq.curTick() + McParams{}.deferRetry;
+
+    // Occupy the agent with a second miss before the retry is due.
+    m.issue(0, MemCmd::Load, y, [] {});
+    eq.run(due - 1);
+    EXPECT_FALSE(mc.dispatchParked());
+    ParkedRetry out;
+    eq.schedule(due + free_delay, [&] {
+        eq.scheduleIn(0, [&] {
+            out.seenAfterFree = mc.probesDeferred.value();
+        });
+        agent.free();
+    });
+    eq.run(due);
+    if (free_delay > 0) {
+        // Parked: nothing is queued between the park and the free (a
+        // once-per-tick poll chain would sit at due + 1).
+        EXPECT_TRUE(mc.dispatchParked());
+        EXPECT_EQ(eq.nextTick(), due + free_delay);
+    }
+    for (Tick t = due; t <= due + free_delay + 1; ++t) {
+        eq.run(t);
+        if (mc.probesDeferred.value() == 2) {
+            out.delay = t - due;
+            break;
+        }
+    }
+    return out;
+}
+
+TEST(DispatchPark, FreeInALaterTickDispatchesInThatTick)
+{
+    // A poll chain's poll for that tick was queued the tick before, so
+    // it runs ahead of anything the freeing event queues for now.
+    for (Tick free_delay : {Tick{1}, Tick{1000}}) {
+        ParkedRetry r = parkedRetry(free_delay);
+        EXPECT_EQ(r.delay, free_delay);
+        EXPECT_EQ(r.seenAfterFree, 2u) << free_delay;
+    }
+}
+
+TEST(DispatchPark, FreeInTheParkingTickDispatchesOneTickLater)
+{
+    ParkedRetry r = parkedRetry(0);
+    EXPECT_EQ(r.delay, 1u);
+    EXPECT_EQ(r.seenAfterFree, 1u);
+}
+
 class ProtoStressTest : public ::testing::TestWithParam<StressCase>
 {
 };

@@ -19,6 +19,7 @@
 #include "sim/clock.hpp"
 #include "sim/eventq.hpp"
 #include "sim/stats.hpp"
+#include "snap/snap.hpp"
 
 namespace smtp
 {
@@ -430,6 +431,65 @@ TEST(EventQueueKernels, NextTickTracksEarliestEvent)
     eq.run();
     EXPECT_EQ(eq.nextTick(), maxTick);
     EXPECT_EQ(eq.executedCount(), 3u);
+}
+
+TEST(EventQueueMark, RunsAfterPriorEventsAndBeforeSameTickOnes)
+{
+    // The mark sits after every event queued before the tick began and
+    // before every one queued during it, wherever in the tick it is
+    // taken: the zero-delay event below is queued first but runs last.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(10, [&] {
+        order.push_back(1);
+        eq.scheduleIn(0, [&] { order.push_back(4); });
+        eq.scheduleAtMark([&] { order.push_back(3); });
+    });
+    eq.schedule(10, [&] { order.push_back(2); });
+    eq.schedule(10, [&] { order.push_back(5); }, EventQueue::prioLate);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(EventQueueMark, BoundedRunTakesTheNextTicksMark)
+{
+    // run(limit) takes tick limit+1's mark before it returns, so an
+    // event marked from the barrier phase runs before everything
+    // inserted after the return (mailbox drains, refill pokes).
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(11, [&] { order.push_back(1); });
+    eq.run(10);
+    eq.schedule(11, [&] { order.push_back(3); });
+    eq.scheduleAtMark([&] { order.push_back(2); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueMark, SlicedRunNumbersEventsLikeAnUninterruptedOne)
+{
+    // Marks use no sequence number: stopping at run(limit) and resuming
+    // leaves the queue byte-identical to an uninterrupted run. The
+    // pending null entries carry their sequence numbers into the image.
+    auto drive = [](EventQueue &eq, std::vector<Tick> stops) {
+        for (Tick t = 5; t < 60; t += 9) {
+            eq.schedule(t, [&eq] {
+                eq.scheduleIn(3, [] {});
+                eq.scheduleIn(1000, EventQueue::Callback{});
+            });
+        }
+        eq.schedule(30, [&eq] { eq.scheduleAtMark([] {}); });
+        for (Tick stop : stops)
+            eq.run(stop);
+        snap::Ser out;
+        eq.io(out);
+        return out.buffer();
+    };
+    EventQueue whole, sliced;
+    auto a = drive(whole, {500});
+    auto b = drive(sliced, {12, 13, 29, 30, 31, 500});
+    EXPECT_EQ(whole.executedCount(), sliced.executedCount());
+    EXPECT_EQ(a, b);
 }
 
 } // namespace

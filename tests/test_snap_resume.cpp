@@ -31,11 +31,12 @@ struct ResumeSim
 
     explicit ResumeSim(MachineModel model, unsigned ways = 1,
                        const fault::FaultPlan *faults = nullptr,
-                       bool traced = false, double scale = 0.25)
+                       bool traced = false, double scale = 0.25,
+                       unsigned nodes = 2)
     {
         MachineParams mp;
         mp.model = model;
-        mp.nodes = 2;
+        mp.nodes = nodes;
         mp.appThreadsPerNode = ways;
         if (faults != nullptr)
             mp.faults = *faults;
@@ -46,7 +47,7 @@ struct ResumeSim
         workload::WorkloadEnv env;
         env.mem = mem.get();
         env.map = &machine->addressMap();
-        env.nodes = 2;
+        env.nodes = nodes;
         env.threadsPerNode = ways;
         env.scale = scale;
         app->build(env);
@@ -130,6 +131,41 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Resume, MultipleAppThreadsPerNode)
 {
     expectResumeIdentical(MachineModel::SMTp, /*ways=*/2);
+}
+
+TEST(Resume, SavedWhileDispatchParked)
+{
+    // A controller parked on a busy protocol agent (a due deferred
+    // intervention and no poll queued) must resume parked and wake on
+    // the same tick, at the same queue position, as its twin.
+    constexpr unsigned kNodes = 4;
+    ResumeSim twin(MachineModel::Base, 1, nullptr, false, 0.25, kNodes);
+    Tick t_end = twin.machine->run();
+    std::string golden = statsOf(*twin.machine);
+
+    ResumeSim part(MachineModel::Base, 1, nullptr, false, 0.25, kNodes);
+    auto parked = [&part] {
+        for (unsigned n = 0; n < kNodes; ++n) {
+            if (part.machine->node(n).mc->dispatchParked())
+                return true;
+        }
+        return false;
+    };
+    Tick t = 0;
+    while (!parked() && t < t_end) {
+        t += tickPerNs;
+        part.machine->runUntil(t);
+    }
+    ASSERT_TRUE(parked()) << "no controller parked before " << t_end;
+    auto img = part.machine->saveImage();
+
+    ResumeSim res(MachineModel::Base, 1, nullptr, false, 0.25, kNodes);
+    std::string err;
+    ASSERT_TRUE(res.machine->restoreImage(std::move(img), &err)) << err;
+    EXPECT_EQ(res.machine->run(), t_end);
+    EXPECT_EQ(res.machine->committedAppInsts(),
+              twin.machine->committedAppInsts());
+    EXPECT_EQ(statsOf(*res.machine), golden);
 }
 
 TEST(Resume, UnderActiveFaultPlan)
