@@ -619,6 +619,12 @@ SmtCpu::lookupMap(ThreadState &t, std::uint8_t logical) const
     return t.map[logical];
 }
 
+unsigned &
+SmtCpu::intQCount(const DynInst *dyn)
+{
+    return intQKind_[threads_[dyn->tid]->isProtocol];
+}
+
 bool
 SmtCpu::renameOne(DynInst *dyn)
 {
@@ -668,11 +674,8 @@ SmtCpu::renameOne(DynInst *dyn)
                  op.cls == OpClass::IntDiv || is_branch;
     bool fp_q = isFpOp(op.cls);
     if (int_q) {
-        unsigned app_in_q = 0;
-        for (auto *d : intQ_)
-            app_in_q += !threads_[d->tid]->isProtocol && !d->squashed;
         if (!proto && reserve &&
-            app_in_q + params_.resIntQueue >= params_.intQueue)
+            intQKind_[0] + params_.resIntQueue >= params_.intQueue)
             return false;
         if (intQ_.size() >= params_.intQueue)
             return false;
@@ -729,6 +732,7 @@ SmtCpu::renameOne(DynInst *dyn)
         t.lsqOrder.push_back(dyn);
     } else if (int_q) {
         intQ_.push_back(dyn);
+        ++intQCount(dyn);
     } else if (fp_q) {
         fpQ_.push_back(dyn);
     } else {
@@ -790,11 +794,14 @@ void
 SmtCpu::issueStage()
 {
     auto issue_from = [&](std::deque<DynInst *> &q, unsigned width) {
+        bool counted = &q == &intQ_;
         unsigned issued = 0;
         for (auto it = q.begin(); it != q.end() && issued < width;) {
             DynInst *dyn = *it;
             if (dyn->squashed) {
                 ++activity_;
+                if (counted)
+                    --intQCount(dyn);
                 it = q.erase(it);
                 continue;
             }
@@ -819,6 +826,8 @@ SmtCpu::issueStage()
             }
             eq_->scheduleIn(cyc(params_.readStages + lat),
                             CompleteEv{this, dyn, dyn->uid});
+            if (counted)
+                --intQCount(dyn);
             it = q.erase(it);
             ++issued;
         }
@@ -992,9 +1001,10 @@ SmtCpu::squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx)
         for (auto it = q.begin(); it != q.end(); ++it) {
             if (*it == needle) {
                 q.erase(it);
-                return;
+                return true;
             }
         }
+        return false;
     };
 
     unsigned squashed = 0;
@@ -1020,7 +1030,8 @@ SmtCpu::squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx)
             purge(t.lsqOrder, dyn);
             --lsqCount_;
         }
-        purge(intQ_, dyn);
+        if (purge(intQ_, dyn))
+            --intQCount(dyn);
         purge(fpQ_, dyn);
         live_->free(dyn);
     }
@@ -1446,6 +1457,18 @@ SmtCpu::io(Ar &ar)
 
     uids(intQ_);
     uids(fpQ_);
+    if constexpr (Ar::loading) {
+        intQKind_ = {};
+        for (const DynInst *d : intQ_) {
+            if (d == nullptr)
+                continue;
+            if (d->tid >= threads_.size()) {
+                ar.fail("corrupt snapshot: issue-queue thread out of range");
+                break;
+            }
+            ++intQCount(d);
+        }
+    }
 
     ar.seq(storeBuffer_, 10,
            [](Ar &a, SbEntry &e) {
@@ -1500,10 +1523,7 @@ SmtCpu::sampleProtoOccupancy()
         regs += owner == ptid;
     protoOccupancy.intRegs.observe(regs);
 
-    unsigned iq = 0;
-    for (auto *d : intQ_)
-        iq += d->tid == ptid && !d->squashed;
-    protoOccupancy.intQueue.observe(iq);
+    protoOccupancy.intQueue.observe(intQKind_[1]);
 
     unsigned lsq = static_cast<unsigned>(t.lsqOrder.size());
     protoOccupancy.lsq.observe(lsq);

@@ -381,6 +381,10 @@ class SmtCpu
 
     // Issue queues (kept age-ordered by insertion).
     std::deque<DynInst *> intQ_, fpQ_;
+    /** intQ_ entries by kind: [0] app threads, [1] the protocol thread. */
+    std::array<unsigned, 2> intQKind_{};
+    /** The intQKind_ counter @p dyn belongs to. */
+    unsigned &intQCount(const DynInst *dyn);
     unsigned lsqCount_ = 0;
 
     // Store buffer.

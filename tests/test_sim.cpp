@@ -492,5 +492,99 @@ TEST(EventQueueMark, SlicedRunNumbersEventsLikeAnUninterruptedOne)
     EXPECT_EQ(a, b);
 }
 
+/** A snappable event that appends its tag to a shared log. */
+struct TagEv
+{
+    static constexpr std::uint32_t kSnapId = 0x7e57;
+    static inline std::vector<std::uint32_t> *log = nullptr;
+    std::uint32_t tag = 0;
+
+    void operator()() const { log->push_back(tag); }
+
+    template <class Ar>
+    void
+    io(Ar &ar)
+    {
+        ar.u32(tag);
+    }
+};
+
+TEST(EventQueueMark, MarksTakenInOneTickRunInTheOrderTaken)
+{
+    // Every event that takes one tick's mark shares its (when, prio,
+    // seq) key; they must run in the order they took it, whatever the
+    // heap layout, from inside the tick and from a barrier phase, and
+    // across a save and restore.
+    std::vector<std::uint32_t> ran;
+    TagEv::log = &ran;
+    constexpr std::uint32_t marks = 19;
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t i = 0; i < marks; ++i)
+        want.push_back(i);
+
+    EventQueue eq;
+    for (std::uint32_t i = 0; i < marks; ++i)
+        eq.schedule(10, [&eq, i] { eq.scheduleAtMark(TagEv{i}); });
+    eq.run();
+    EXPECT_EQ(ran, want);
+
+    ran.clear();
+    EventQueue before;
+    before.schedule(25, TagEv{100});
+    before.run(20);
+    for (std::uint32_t i = 0; i < marks; ++i)
+        before.scheduleAtMark(TagEv{i});
+    before.schedule(21, TagEv{200});
+    snap::Ser out;
+    before.io(out);
+
+    snap::EventCodec codec;
+    codec.add<TagEv>();
+    snap::Des in(out.buffer());
+    in.setCodec(&codec);
+    EventQueue after;
+    after.io(in);
+    ASSERT_TRUE(in.ok()) << in.error();
+    after.run();
+    want.push_back(200);
+    want.push_back(100);
+    EXPECT_EQ(ran, want);
+
+    ran.clear();
+    before.run();
+    EXPECT_EQ(ran, want);
+    TagEv::log = nullptr;
+}
+
+TEST(EventQueueSlab, CallbackSchedulingChunksOfEventsKeepsItsCaptures)
+{
+    // A running callback stays in its slab slot while it schedules more
+    // events than one slab chunk holds, so its captures are intact when
+    // it reads them afterwards.
+    EventQueue eq;
+    std::vector<std::uint64_t> ran;
+    std::uint64_t seen = 0;
+    std::array<std::uint64_t, 4> tags = {3, 1, 4, 1};
+    auto fanOut = [&eq, &ran, &seen, tags] {
+        for (std::uint64_t i = 0; i < 1000; ++i)
+            eq.scheduleIn(i % 3, [&ran, i] { ran.push_back(i); });
+        for (std::uint64_t t : tags)
+            seen = seen * 10 + t;
+    };
+    static_assert(InlineCallback::storesInline<decltype(fanOut)>);
+    eq.schedule(1, fanOut);
+    eq.run();
+    EXPECT_EQ(seen, 3141u);
+    ASSERT_EQ(ran.size(), 1000u);
+    // Tick order first, then scheduling order within a tick.
+    std::vector<std::uint64_t> want;
+    for (std::uint64_t d = 0; d < 3; ++d) {
+        for (std::uint64_t i = d; i < 1000; i += 3)
+            want.push_back(i);
+    }
+    EXPECT_EQ(ran, want);
+    EXPECT_EQ(eq.executedCount(), 1001u);
+}
+
 } // namespace
 } // namespace smtp

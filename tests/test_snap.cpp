@@ -504,6 +504,15 @@ TEST(MachineSnap, CorruptAndTruncatedImagesRejected)
     // contract, checked by running this test at all under ASan.)
 }
 
+/** The key fields of a crafted event-queue entry. */
+struct ExtraKey
+{
+    std::int8_t prio = 0;
+    std::uint64_t seq = 0;
+    /** Overrides the queue's next sequence number when non-zero. */
+    std::uint64_t queueSeq = 0;
+};
+
 /**
  * @p img with one more shard-0 event-queue entry, due at the current
  * tick, whose callback is encoded as @p cb (id + payload): a crafted
@@ -511,7 +520,7 @@ TEST(MachineSnap, CorruptAndTruncatedImagesRejected)
  */
 std::vector<std::uint8_t>
 withExtraEvent(const std::vector<std::uint8_t> &img,
-               const std::vector<std::uint8_t> &cb)
+               const std::vector<std::uint8_t> &cb, ExtraKey key = {})
 {
     snap::SnapReader r;
     EXPECT_TRUE(r.parse(img)) << r.error();
@@ -524,12 +533,13 @@ withExtraEvent(const std::vector<std::uint8_t> &img,
             snap::Des in(p, sec.length);
             std::uint64_t cur = in.u64();
             out.u64(cur);
-            out.u64(in.u64()); // seq
+            std::uint64_t seq = in.u64();
+            out.u64(key.queueSeq != 0 ? key.queueSeq : seq);
             out.u64(in.u64()); // executed
             out.u64(in.u64() + 1);
             out.u64(cur);
-            out.i8(0);
-            out.u64(0);
+            out.i8(key.prio);
+            out.u64(key.seq);
             out.raw(cb.data(), cb.size());
             head = in.pos();
         }
@@ -539,16 +549,29 @@ withExtraEvent(const std::vector<std::uint8_t> &img,
     return w.finish();
 }
 
-/** Restore @p cb spliced into a mid-run Base image; the diagnostic. */
+/**
+ * Restore @p cb spliced into a mid-run Base image under @p key; the
+ * diagnostic, empty when the restore succeeded.
+ */
 std::string
-restoreWithExtraEvent(const std::vector<std::uint8_t> &cb)
+restoreSpliced(const std::vector<std::uint8_t> &cb, ExtraKey key)
 {
     SnapSim a(MachineModel::Base);
     a.machine->runUntil(50 * tickPerUs);
     SnapSim b(MachineModel::Base);
     std::string err;
-    EXPECT_FALSE(b.machine->restoreImage(
-        withExtraEvent(a.machine->saveImage(), cb), &err));
+    bool ok = b.machine->restoreImage(
+        withExtraEvent(a.machine->saveImage(), cb, key), &err);
+    EXPECT_EQ(ok, err.empty()) << err;
+    return err;
+}
+
+/** Restore @p cb spliced into a mid-run Base image; the diagnostic. */
+std::string
+restoreWithExtraEvent(const std::vector<std::uint8_t> &cb)
+{
+    std::string err = restoreSpliced(cb, {});
+    EXPECT_FALSE(err.empty());
     return err;
 }
 
@@ -558,6 +581,46 @@ restoreWithExtraEvent(const InlineCallback &ev)
     snap::Ser s;
     s.cb(ev);
     return restoreWithExtraEvent(s.buffer());
+}
+
+/** An empty callback's encoding: the entry's key alone is on trial. */
+std::vector<std::uint8_t>
+nullCallback()
+{
+    snap::Ser s;
+    s.u32(snap::evNull);
+    return s.buffer();
+}
+
+TEST(MachineSnap, EventPriorityOutOfRangeRejected)
+{
+    for (std::int8_t prio : {-1, 1})
+        EXPECT_EQ(restoreSpliced(nullCallback(), {prio, 0, 0}), "") << +prio;
+    for (std::int8_t prio : {-128, -2, 2, 127}) {
+        std::string err = restoreSpliced(nullCallback(), {prio, 0, 0});
+        EXPECT_NE(err.find("event priority out of range"),
+                  std::string::npos)
+            << +prio << ": " << err;
+    }
+}
+
+TEST(MachineSnap, EventSequenceOutOfRangeRejected)
+{
+    constexpr std::uint64_t limit = std::uint64_t{1} << 62;
+    // The queue's next sequence number, and an entry's, must stay below
+    // 2^62: above it the sequence would spill into the priority bits of
+    // the heap key.
+    for (std::uint64_t next : {limit + 1, ~std::uint64_t{0}}) {
+        std::string err = restoreSpliced(nullCallback(), {0, 0, next});
+        EXPECT_NE(err.find("event sequence number out of range"),
+                  std::string::npos)
+            << next << ": " << err;
+    }
+    for (std::uint64_t seq : {limit, limit + 1, ~std::uint64_t{0}}) {
+        std::string err = restoreSpliced(nullCallback(), {0, seq, 0});
+        EXPECT_NE(err.find("event entry out of range"), std::string::npos)
+            << seq << ": " << err;
+    }
 }
 
 TEST(MachineSnap, DeepCallbackNestingRejected)
