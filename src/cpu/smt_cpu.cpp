@@ -100,11 +100,12 @@ struct SmtCpu::ThreadState
 };
 
 /**
- * Slab pool of DynInst records with generation-tagged liveness. Deferred
- * completion events capture (DynInst*, uid); the instruction is still
- * live iff the slot's uid matches, since free() zeroes it and alloc()
- * stamps a fresh one. This replaces a uid -> DynInst* hash map (and a
- * malloc/free per micro-op) that dominated the simulator's hot path.
+ * Slab pool of DynInst records with generation-tagged liveness. Pending
+ * completions and fill events capture (DynInst*, uid); the instruction
+ * is still live iff the slot's uid matches, since free() zeroes it and
+ * alloc() stamps a fresh one. This replaces a uid -> DynInst* hash map
+ * (and a malloc/free per micro-op) that dominated the simulator's hot
+ * path.
  * The full definition lives here to keep the header free of DynInst
  * details; SmtCpu owns one through the opaque live_ member.
  */
@@ -173,6 +174,8 @@ SmtCpu::SmtCpu(EventQueue &eq, const CpuParams &params,
         fpFree_.push_back(static_cast<std::uint16_t>(r));
 
     chkpts_.resize(params.branchStack);
+    intQ_.reserve(params.intQueue);
+    fpQ_.reserve(params.fpQueue);
 
     for (unsigned t = 0; t < nthreads; ++t) {
         auto ts = std::make_unique<ThreadState>();
@@ -266,6 +269,7 @@ SmtCpu::start()
 void
 SmtCpu::poke()
 {
+    catchUp();
     ++activity_;
     if (started_)
         scheduleTick();
@@ -793,20 +797,22 @@ SmtCpu::operandsReady(const DynInst *dyn) const
 void
 SmtCpu::issueStage()
 {
-    auto issue_from = [&](std::deque<DynInst *> &q, unsigned width) {
+    // One pass per queue: issue the oldest `width` ready entries and
+    // slide the rest down, keeping their age order.
+    auto issue_from = [&](std::vector<DynInst *> &q, unsigned width) {
         bool counted = &q == &intQ_;
         unsigned issued = 0;
-        for (auto it = q.begin(); it != q.end() && issued < width;) {
+        auto keep = q.begin();
+        for (auto it = q.begin(); it != q.end(); ++it) {
             DynInst *dyn = *it;
-            if (dyn->squashed) {
-                ++activity_;
-                if (counted)
-                    --intQCount(dyn);
-                it = q.erase(it);
-                continue;
+            // squashAfter() purges squashed entries from the queues.
+            SMTP_ASSERT(!dyn->squashed, "squashed entry in an issue queue");
+            if (issued == width) {
+                keep = std::move(it, q.end(), keep);
+                break;
             }
             if (!operandsReady(dyn)) {
-                ++it;
+                *keep++ = dyn;
                 continue;
             }
             ++activity_;
@@ -824,13 +830,13 @@ SmtCpu::issueStage()
                 dyn->icounted = false;
                 --threads_[dyn->tid]->icount;
             }
-            eq_->scheduleIn(cyc(params_.readStages + lat),
-                            CompleteEv{this, dyn, dyn->uid});
+            completeAt(now() + cyc(params_.readStages + lat), dyn,
+                       dyn->uid);
             if (counted)
                 --intQCount(dyn);
-            it = q.erase(it);
             ++issued;
         }
+        q.erase(keep, q.end());
     };
     issue_from(intQ_, params_.intAlus);
     issue_from(fpQ_, params_.fpus);
@@ -845,7 +851,7 @@ SmtCpu::tryMemAccess(DynInst *dyn)
     std::uint64_t uid = dyn->uid;
 
     auto complete_in = [&](Cycles c) {
-        eq_->scheduleIn(cyc(c), CompleteEv{this, dyn, uid});
+        completeAt(now() + cyc(c), dyn, uid);
     };
 
     // DTLB (application data space only).
@@ -960,23 +966,70 @@ SmtCpu::lsuIssue()
 
 // ------------------------------------------------------------ complete
 
-void
-SmtCpu::completeInst(DynInst *dyn)
+bool
+SmtCpu::later(const Completion &a, const Completion &b)
 {
-    if (dyn->squashed)
-        return;
+    return a.due != b.due ? a.due > b.due : a.ord > b.ord;
+}
+
+void
+SmtCpu::Calendar::insert(const Completion &c)
+{
+    if (count == ring.size()) {
+        std::vector<Completion> bigger(2 * ring.size());
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = at(i);
+        ring.swap(bigger);
+        head = 0;
+    }
+    std::size_t i = count++;
+    for (; i > 0 && later(at(i - 1), c); --i)
+        at(i) = at(i - 1);
+    at(i) = c;
+}
+
+/** Reserve the completion of (@p dyn, @p uid) at @p due. */
+void
+SmtCpu::completeAt(Tick due, DynInst *dyn, std::uint64_t uid)
+{
+    calendar_.insert({due, eq_->reserveOrd(), dyn, uid});
+}
+
+/** catchUp()'s loop, once the earliest entry is known to be passed. */
+void
+SmtCpu::applyPassed()
+{
+    do {
+        Completion c = calendar_.front();
+        calendar_.pop();
+        if (c.dyn != nullptr && c.dyn->uid == c.uid)
+            completeInst(c.dyn, c.due);
+    } while (!calendar_.empty() &&
+             eq_->passed(calendar_.front().due, calendar_.front().ord));
+}
+
+/**
+ * Complete @p dyn as of tick @p now, its due tick. No tick needs
+ * scheduling: an instruction in flight keeps its thread's active list
+ * non-empty, so the pipeline ticks until the completion is applied.
+ */
+void
+SmtCpu::completeInst(DynInst *dyn, Tick now)
+{
+    // squashAfter() frees every squashed instruction, so the uid check
+    // in catchUp() already turned its completion into a no-op.
+    SMTP_ASSERT(!dyn->squashed, "a squashed instruction completed");
     ++activity_;
     dyn->completed = true;
     if (dyn->pdst != 0xffff) {
         (dyn->pdstFp ? fpReady_ : intReady_)[dyn->pdst] = true;
     }
     if (dyn->op.cls == OpClass::Branch)
-        resolveBranch(dyn);
-    scheduleTick();
+        resolveBranch(dyn, now);
 }
 
 void
-SmtCpu::resolveBranch(DynInst *dyn)
+SmtCpu::resolveBranch(DynInst *dyn, Tick now)
 {
     ThreadState &t = *threads_[dyn->tid];
     if (!dyn->wrongPath) {
@@ -985,7 +1038,7 @@ SmtCpu::resolveBranch(DynInst *dyn)
     }
     if (dyn->mispredicted) {
         ++t.stats.mispredicts;
-        squashAfter(t, dyn->seq, dyn->chkpt);
+        squashAfter(t, dyn->seq, dyn->chkpt, now);
         t.wrongPathMode = false;
     }
     if (dyn->chkpt >= 0) {
@@ -995,9 +1048,10 @@ SmtCpu::resolveBranch(DynInst *dyn)
 }
 
 void
-SmtCpu::squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx)
+SmtCpu::squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx,
+                    Tick now)
 {
-    auto purge = [](std::deque<DynInst *> &q, const DynInst *needle) {
+    auto purge = [](auto &q, const DynInst *needle) {
         for (auto it = q.begin(); it != q.end(); ++it) {
             if (*it == needle) {
                 q.erase(it);
@@ -1066,8 +1120,7 @@ SmtCpu::squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx)
     // Unmapping proceeds eight instructions per cycle (Section 3), then
     // the front end refetches.
     Cycles penalty = 1 + divCeil(squashed, 8);
-    t.fetchResumeTick =
-        std::max(t.fetchResumeTick, eq_->curTick() + cyc(penalty));
+    t.fetchResumeTick = std::max(t.fetchResumeTick, now + cyc(penalty));
     t.lastFetchLine = invalidAddr;
     if (squashed > 0)
         ++t.stats.squashCycles;
@@ -1080,10 +1133,8 @@ SmtCpu::execNonSpec(DynInst *dyn)
 {
     ++activity_;
     dyn->nonSpecStarted = true;
-    std::uint64_t uid = dyn->uid;
     auto complete_at = [&](Tick when) {
-        eq_->schedule(std::max(when, eq_->curTick() + cyc(1)),
-                      CompleteEv{this, dyn, uid});
+        completeAt(std::max(when, now() + cyc(1)), dyn, dyn->uid);
     };
     switch (dyn->op.cls) {
       case OpClass::PSendH:
@@ -1267,6 +1318,7 @@ SmtCpu::drainStoreBuffer()
 void
 SmtCpu::onLineInvalidated(Addr line)
 {
+    catchUp();
     ++activity_;
     for (auto &tp : threads_) {
         ThreadState &t = *tp;
@@ -1284,15 +1336,9 @@ SmtCpu::onLineInvalidated(Addr line)
 // ---------------------------------------------------------- snapshots
 
 void
-SmtCpu::CompleteEv::operator()() const
-{
-    if (dyn != nullptr && dyn->uid == uid)
-        c->completeInst(dyn);
-}
-
-void
 SmtCpu::FetchDoneEv::operator()() const
 {
+    c->catchUp();
     ThreadState &t = *c->threads_[tid];
     t.fetchStalled = false;
     t.lastFetchLine = line;
@@ -1303,6 +1349,7 @@ SmtCpu::FetchDoneEv::operator()() const
 void
 SmtCpu::TlbRetryEv::operator()() const
 {
+    c->catchUp();
     if (dyn == nullptr || dyn->uid != uid)
         return;
     dyn->memAccessed = false;
@@ -1312,13 +1359,16 @@ SmtCpu::TlbRetryEv::operator()() const
 void
 SmtCpu::LoadFillEv::operator()() const
 {
-    c->eq_->scheduleIn(c->cyc(c->params_.readStages),
-                       CompleteEv{c, dyn, uid});
+    c->catchUp();
+    // A dead instruction's fill still reserves a key, so every later
+    // event keeps its sequence number; the entry applies as a no-op.
+    c->completeAt(c->now() + c->cyc(c->params_.readStages), dyn, uid);
 }
 
 void
 SmtCpu::SbDrainEv::operator()() const
 {
+    c->catchUp();
     c->sbDrainBusy_ = false;
     ++c->activity_;
     SMTP_ASSERT(!c->storeBuffer_.empty() &&
@@ -1331,6 +1381,7 @@ SmtCpu::SbDrainEv::operator()() const
 void
 SmtCpu::ProtoSbDrainEv::operator()() const
 {
+    c->catchUp();
     c->sbProtoDrainBusy_ = false;
     ++c->activity_;
     for (auto it = c->storeBuffer_.begin(); it != c->storeBuffer_.end();
@@ -1385,18 +1436,17 @@ SmtCpu::io(Ar &ar)
     }
     ar.u64(live_->next);
 
-    auto uids = [this, &ar](std::deque<DynInst *> &q) {
-        ar.seq(q, 8, [this](Ar &a, DynInst *&d) {
-            std::uint64_t uid = d != nullptr ? d->uid : 0;
-            a.u64(uid);
-            if constexpr (Ar::loading) {
-                d = resolveUid(uid);
-                if (d == nullptr)
-                    a.fail("corrupt snapshot: queue references a dead "
-                           "instruction");
-            }
-        });
+    auto uid = [this](Ar &a, DynInst *&d) {
+        std::uint64_t id = d != nullptr ? d->uid : 0;
+        a.u64(id);
+        if constexpr (Ar::loading) {
+            d = resolveUid(id);
+            if (d == nullptr)
+                a.fail("corrupt snapshot: queue references a dead "
+                       "instruction");
+        }
     };
+    auto uids = [&ar, &uid](std::deque<DynInst *> &q) { ar.seq(q, 8, uid); };
 
     ar.u64(seqCounter_);
     ar.u32(rrCommit_);
@@ -1455,8 +1505,10 @@ SmtCpu::io(Ar &ar)
                  a.u64(ck.ras.tosValue);
              });
 
-    uids(intQ_);
-    uids(fpQ_);
+    ar.seq(intQ_, 8, uid, params_.intQueue,
+           "corrupt snapshot: issue queue overflow");
+    ar.seq(fpQ_, 8, uid, params_.fpQueue,
+           "corrupt snapshot: issue queue overflow");
     if constexpr (Ar::loading) {
         intQKind_ = {};
         for (const DynInst *d : intQ_) {
@@ -1494,10 +1546,67 @@ SmtCpu::io(Ar &ar)
     ar.obj(bpred_, protoOccupancy.branchStack, protoOccupancy.intRegs,
            protoOccupancy.intQueue, protoOccupancy.lsq, cycles,
            fetchedInsts);
+
+    // Pending completions, in key order, as (due, seq, uid). Saving
+    // applies the ones already passed first, which is what lets a
+    // restored queue stand past every key of its current tick.
+    // calendarError() checks due ticks and sequence numbers against the
+    // restored queue.
+    if constexpr (Ar::loading) {
+        calendar_ = Calendar{};
+        std::uint64_t n = ar.count(24);
+        for (std::uint64_t i = 0; i < n && ar.ok(); ++i) {
+            Completion c{};
+            std::uint64_t seq = 0;
+            ar.u64(c.due);
+            ar.u64(seq);
+            ar.u64(c.uid);
+            if (!ar.ok())
+                break;
+            if (seq % 2 == 0 || EventQueue::seqOf(seq) != seq) {
+                ar.fail("corrupt snapshot: completion sequence number out "
+                        "of range");
+                break;
+            }
+            c.ord = EventQueue::reservedOrd(seq);
+            if (!calendar_.empty() &&
+                !later(c, calendar_.at(calendar_.count - 1))) {
+                ar.fail("corrupt snapshot: completions out of order");
+                break;
+            }
+            c.dyn = resolveUid(c.uid);
+            calendar_.insert(c);
+        }
+    } else {
+        catchUp();
+        ar.u64(calendar_.count);
+        for (std::size_t i = 0; i < calendar_.count; ++i) {
+            Completion &c = calendar_.at(i);
+            std::uint64_t seq = EventQueue::seqOf(c.ord);
+            ar.u64(c.due);
+            ar.u64(seq);
+            ar.u64(c.uid);
+        }
+    }
 }
 
 template void SmtCpu::io(snap::Ser &);
 template void SmtCpu::io(snap::Des &);
+
+const char *
+SmtCpu::calendarError() const
+{
+    for (std::size_t i = 0; i < calendar_.count; ++i) {
+        const Completion &c = calendar_.at(i);
+        if (c.due < eq_->curTick())
+            return "corrupt snapshot: completion due before the current "
+                   "tick";
+        if (!eq_->issued(EventQueue::seqOf(c.ord)))
+            return "corrupt snapshot: completion sequence number was "
+                   "never handed out";
+    }
+    return nullptr;
+}
 
 SmtCpu::DynInst *
 SmtCpu::resolveUid(std::uint64_t uid) const

@@ -186,12 +186,37 @@ class SmtCpu
     /** Dump pipeline state (wedge diagnosis). */
     void debugDump(std::FILE *out) const;
 
+    /**
+     * Apply every pending completion whose key the event queue has
+     * passed, in key order. Every CPU entry point calls it first; a
+     * machine calls it after a bounded run so counters read then are
+     * current.
+     */
+    void
+    catchUp()
+    {
+        if (!calendar_.empty() &&
+            eq_->passed(calendar_.front().due, calendar_.front().ord))
+            applyPassed();
+    }
+
+    /** Completions reserved and not yet applied (live or dead). */
+    std::size_t pendingCompletions() const { return calendar_.count; }
+
+    /**
+     * After a restore, once the event queue is loaded: a diagnostic for
+     * a pending completion the queue cannot have reserved (due before
+     * its tick, or a sequence number it never handed out), else nullptr.
+     */
+    const char *calendarError() const;
+
     // ---- Snapshot support --------------------------------------------
     //
-    // Deferred completion events reference DynInsts by (pointer, uid);
-    // snapshots persist the uid alone and restore resolves it against
-    // the re-created instruction pool (a dead uid decodes to a no-op,
-    // exactly matching the live generation check).
+    // Fill and TLB-retry events and pending completions reference
+    // DynInsts by (pointer, uid); snapshots persist the uid alone and
+    // restore resolves it against the re-created instruction pool (a
+    // dead uid decodes to a no-op, exactly matching the live generation
+    // check).
 
     static constexpr const char *badNodeEvent =
         "snapshot references an unknown cpu node";
@@ -214,20 +239,13 @@ class SmtCpu
         void
         operator()() const
         {
+            // Completions apply while the tick is still marked
+            // scheduled, as their events ran before it.
+            c->catchUp();
             c->tickScheduled_ = false;
             c->tick();
         }
         template <class Ar> void io(Ar &ar) { ar.owner(c, badNodeEvent); }
-    };
-
-    struct CompleteEv
-    {
-        static constexpr std::uint32_t kSnapId = snap::evCpuCompleteInst;
-        SmtCpu *c;
-        DynInst *dyn;
-        std::uint64_t uid;
-        void operator()() const;
-        template <class Ar> void io(Ar &ar) { instIo(ar, c, dyn, uid); }
     };
 
     struct FetchDoneEv
@@ -322,9 +340,12 @@ class SmtCpu
     void issueStage();
     void lsuIssue();
     bool tryMemAccess(DynInst *dyn);
-    void completeInst(DynInst *dyn);
-    void resolveBranch(DynInst *dyn);
-    void squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx);
+    void completeAt(Tick due, DynInst *dyn, std::uint64_t uid);
+    void applyPassed();
+    void completeInst(DynInst *dyn, Tick now);
+    void resolveBranch(DynInst *dyn, Tick now);
+    void squashAfter(ThreadState &t, std::uint64_t seq, int chkpt_idx,
+                     Tick now);
     void commitStage();
     void execNonSpec(DynInst *dyn);
     void drainStoreBuffer();
@@ -357,7 +378,8 @@ class SmtCpu
     trace::TraceBuffer *trace_ = nullptr;
 
     /**
-     * Registry resolving completion events to still-live instructions;
+     * Registry resolving pending completions and fill events to
+     * still-live instructions;
      * opaque so the header stays free of DynInst map details. Strictly
      * per-CPU state: sweep runs execute machines concurrently, so
      * nothing may live in process globals.
@@ -379,8 +401,9 @@ class SmtCpu
     // Branch stack.
     std::vector<Checkpoint> chkpts_;
 
-    // Issue queues (kept age-ordered by insertion).
-    std::deque<DynInst *> intQ_, fpQ_;
+    // Issue queues (kept age-ordered by insertion), reserved to their
+    // capacity.
+    std::vector<DynInst *> intQ_, fpQ_;
     /** intQ_ entries by kind: [0] app threads, [1] the protocol thread. */
     std::array<unsigned, 2> intQKind_{};
     /** The intQKind_ counter @p dyn belongs to. */
@@ -397,6 +420,56 @@ class SmtCpu
     std::deque<SbEntry> storeBuffer_;
     bool sbDrainBusy_ = false;
     bool sbProtoDrainBusy_ = false;
+
+    /**
+     * One completion in flight: the event-queue key its completion
+     * event would have had (EventQueue::reserveOrd) and the instruction
+     * it completes. catchUp() applies it where that event would have
+     * run.
+     */
+    struct Completion
+    {
+        Tick due;
+        std::uint64_t ord;
+        DynInst *dyn;      ///< nullptr when restored dead.
+        std::uint64_t uid; ///< Live iff dyn->uid still matches.
+    };
+    static bool later(const Completion &a, const Completion &b);
+
+    /**
+     * The completion calendar: a ring kept sorted under (due, ord). A
+     * new entry is nearly always due last, so inserting it moves only
+     * the few entries due after it; a far-future protocol probe is just
+     * one more of those. The ring doubles when full and never shrinks,
+     * so steady state does not allocate.
+     */
+    struct Calendar
+    {
+        std::vector<Completion> ring = std::vector<Completion>(64);
+        std::size_t head = 0;
+        std::size_t count = 0;
+
+        bool empty() const { return count == 0; }
+        const Completion &front() const { return ring[head]; }
+        Completion &
+        at(std::size_t i)
+        {
+            return ring[(head + i) & (ring.size() - 1)];
+        }
+        const Completion &
+        at(std::size_t i) const
+        {
+            return ring[(head + i) & (ring.size() - 1)];
+        }
+        void
+        pop()
+        {
+            head = (head + 1) & (ring.size() - 1);
+            --count;
+        }
+        void insert(const Completion &c);
+    };
+    Calendar calendar_;
 
     std::uint64_t seqCounter_ = 0;
     unsigned rrCommit_ = 0;

@@ -590,6 +590,10 @@ Machine::runUntil(Tick when)
         // run()/runUntil() completes this window and drains them at
         // the real barrier.
         executor_->runWindow(when);
+        // Apply the completions the tail passed, so counters read now
+        // are current.
+        for (auto &node : nodes_)
+            node->cpu->catchUp();
     }
     execTime_ = curTick();
     return allDone();

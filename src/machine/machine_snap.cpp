@@ -10,7 +10,9 @@
  *  1. workload  — replays the coroutine resume log, rebuilding the
  *                 generators and the functional memory;
  *  2. CPUs      — rebuild the DynInst pools and the uid resolution
- *                 maps every decoded event handle needs;
+ *                 maps every decoded event handle needs (their pending
+ *                 completions are checked against the event queues
+ *                 once those are loaded);
  *  3. MCs       — rebuild the transaction-context tables that protocol
  *                 engine/thread state and deferred sends resolve ids
  *                 against;
@@ -101,8 +103,8 @@ Machine::buildEventCodec()
               MC::PokeEv, MC::DispatchPollEv, MC::CtxMemDoneEv,
               MC::DeliverLocalEv, MC::NetDeliverEv, MC::DrainNiOutEv,
               MC::PendingSendEv, MC::BypassBusEv, MC::MemWriteEv,
-              SmtCpu::TickEv, SmtCpu::CompleteEv, SmtCpu::FetchDoneEv,
-              SmtCpu::TlbRetryEv, SmtCpu::LoadFillEv, SmtCpu::SbDrainEv,
+              SmtCpu::TickEv, SmtCpu::FetchDoneEv, SmtCpu::TlbRetryEv,
+              SmtCpu::LoadFillEv, SmtCpu::SbDrainEv,
               SmtCpu::ProtoSbDrainEv, PEngine::IcacheFillEv,
               PEngine::DcacheFillEv, PEngine::SendReleaseEv,
               PEngine::HandlerDoneEv>();
@@ -323,6 +325,12 @@ Machine::restoreFrom(const snap::SnapReader &r, std::string *err)
         if (!load("shard" + std::to_string(s) + ".eventq",
                   shards_.queue(s)))
             return false;
+    }
+    // Pending completions carry event-queue keys: check them against
+    // the restored queues.
+    for (unsigned n = 0; n < nodes_.size(); ++n) {
+        if (const char *why = nodes_[n]->cpu->calendarError())
+            return fail("section '" + nodeSection(n, "cpu") + "': " + why);
     }
     return true;
 }

@@ -26,6 +26,13 @@
  * that follows run(limit)). Taking a mark consumes no sequence number,
  * so a run stopped at run(limit) and resumed numbers its events exactly
  * as an uninterrupted run does.
+ *
+ * A component that keeps its own calendar of work (the CPU's
+ * completions) can stand in for events without scheduling them:
+ * reserveOrd() hands out the key an event scheduled now would take,
+ * and passed() says whether the queue has run past a key, so the
+ * component applies each entry the first time it is touched after the
+ * point where its event would have run.
  */
 
 #ifndef SMTP_SIM_EVENTQ_HPP
@@ -92,6 +99,61 @@ class EventQueue
         push(markTick_, order(prioDefault, markSeq_), std::move(cb));
     }
 
+    /**
+     * The order key (prioDefault) that schedule() would give an event
+     * now, without scheduling one: it uses up the same sequence number,
+     * so every other event keeps its number.
+     */
+    std::uint64_t
+    reserveOrd()
+    {
+        std::uint64_t ord = order(prioDefault, seq_);
+        seq_ += 2;
+        return ord;
+    }
+
+    /**
+     * Has the queue run, or is it running, past key (@p when, @p ord)?
+     * The position is the furthest key run so far: the running event's
+     * inside an event (or a later one of its tick, when the event took
+     * a mark), the last one after runOne(). After a bounded run(limit)
+     * it is (limit, next reservation), and after a restore (curTick,
+     * next reservation): every key reserved by then at that tick has
+     * passed. Exact for a key reserved before its tick began, or after
+     * a bounded run: within a tick, an event may queue a same-tick event
+     * at a lower priority, which runs behind keys already run.
+     * Reserved keys are odd and unique, so no event ever sits at one.
+     */
+    bool
+    passed(Tick when, std::uint64_t ord) const
+    {
+        return when < curTick_ || (when == curTick_ && ord < curOrd_);
+    }
+
+    /** The sequence number inside order key @p ord. */
+    static std::uint64_t
+    seqOf(std::uint64_t ord)
+    {
+        return ord & (seqLimit - 1);
+    }
+
+    /** The order key reserveOrd() gives sequence number @p seq. */
+    static std::uint64_t
+    reservedOrd(std::uint64_t seq)
+    {
+        return order(prioDefault, seq);
+    }
+
+    /**
+     * Could @p seq be a sequence number this queue handed out: odd and
+     * below the next one?
+     */
+    bool
+    issued(std::uint64_t seq) const
+    {
+        return seq % 2 == 1 && seq < seq_;
+    }
+
     /** Schedule @p cb @p delta ticks from now. */
     void
     scheduleIn(Tick delta, Callback cb, Priority prio = prioDefault)
@@ -130,8 +192,10 @@ class EventQueue
             runMin();
         if (limit == maxTick)
             return;
-        if (curTick_ < limit)
+        if (curTick_ <= limit) {
             curTick_ = limit;
+            curOrd_ = order(prioDefault, seq_);
+        }
         takeMark(limit + 1);
     }
 
@@ -192,6 +256,7 @@ class EventQueue
             }
             ar.u64(markTick_);
             ar.u64(markSeq_);
+            curOrd_ = order(prioDefault, seq_);
             if (ar.ok() && (seq_ % 2 == 0 || markSeq_ >= seq_ ||
                             (markTick_ != maxTick && markTick_ < curTick_)))
                 ar.fail("corrupt snapshot: event queue mark out of range");
@@ -359,6 +424,10 @@ class EventQueue
     {
         Key k = popKey();
         takeMark(k.when);
+        // An event at a mark can sort behind keys already run in its
+        // tick; passed() keeps the furthest key run.
+        if (k.when != curTick_ || k.ord > curOrd_)
+            curOrd_ = k.ord;
         curTick_ = k.when;
         ++executed_;
         Callback &cb = callback(k.slot);
@@ -390,6 +459,7 @@ class EventQueue
     std::vector<std::uint32_t> free_; ///< Free slots; last freed on top.
     std::uint32_t pushes_ = 0;
     Tick curTick_ = 0;
+    std::uint64_t curOrd_ = 0; ///< With curTick_, the furthest key run.
     std::uint64_t seq_ = 1;   ///< Next (odd) sequence number.
     std::uint64_t executed_ = 0;
     Tick markTick_ = maxTick; ///< Tick the mark belongs to; none yet.

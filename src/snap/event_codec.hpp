@@ -72,13 +72,13 @@ enum EventId : std::uint32_t
 
     // SMT CPU.
     evCpuTick = 40,
-    evCpuCompleteInst = 41,
     evCpuFetchDone = 42,
     evCpuTlbRetry = 44,
     evCpuSbDrain = 45,
     evCpuProtoSbDrain = 46,
     evCpuLoadFill = 47,
-    // 43, 48, 49 and 50 are retired: never reuse them.
+    // 41 (per-instruction completions, now the CPU's completion
+    // calendar), 43, 48, 49 and 50 are retired: never reuse them.
 
     // Protocol engine (embedded PP models).
     evPeIcacheFill = 60,

@@ -40,7 +40,9 @@ namespace smtp::snap
 // stamps and request-arrival queues; older images are rejected cleanly.
 // v4: event queues serialize their per-tick mark after the entries and
 // the controller its parked-dispatch state (flag and park tick).
-constexpr std::uint32_t kFormatVersion = 4;
+// v5: per-instruction completion events are gone; each CPU section ends
+// with its pending completions as (due, seq, uid) in key order.
+constexpr std::uint32_t kFormatVersion = 5;
 constexpr char kMagic[8] = {'S', 'M', 'T', 'P', 'S', 'N', 'A', 'P'};
 
 /** Builds a snapshot in memory, then writes it atomically. */

@@ -556,6 +556,178 @@ TEST(EventQueueMark, MarksTakenInOneTickRunInTheOrderTaken)
     TagEv::log = nullptr;
 }
 
+/**
+ * One seeded schedule of near, far and same-tick events at all three
+ * priorities, marks included, in which events (for later ticks) and the
+ * driver (between bounded runs, like a barrier phase) make
+ * reservations. With `twins` each reservation schedules a real event
+ * instead. Every event body, runOne() step and bounded run() logs which
+ * reservations count as done: the twins that have run, or the keys
+ * passed() covers. Both modes must log the same lines.
+ */
+struct ReserveDriver
+{
+    explicit ReserveDriver(bool t) : twins(t) {}
+
+    EventQueue eq;
+    bool twins;
+    std::vector<std::pair<Tick, std::uint64_t>> keys; ///< Reservations.
+    std::vector<bool> ran;                            ///< Twins run.
+    std::vector<std::string> log;
+    std::mt19937_64 rng{0x5EED};
+    unsigned pending = 0; ///< Regular events not yet run.
+    bool twinRan = false;
+
+    void
+    note(char where)
+    {
+        std::string line(1, where);
+        std::size_t n = twins ? ran.size() : keys.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            bool done = twins ? ran[i]
+                              : eq.passed(keys[i].first, keys[i].second);
+            line += done ? '1' : '0';
+        }
+        log.push_back(line);
+    }
+
+    void
+    reserve(Tick when)
+    {
+        if (!twins) {
+            keys.emplace_back(when, eq.reserveOrd());
+            return;
+        }
+        std::size_t id = ran.size();
+        ran.push_back(false);
+        eq.schedule(when, [this, id] {
+            ran[id] = true;
+            twinRan = true;
+        });
+    }
+
+    void
+    event(Tick when, EventQueue::Priority prio, int depth, bool mark = false)
+    {
+        ++pending;
+        auto body = [this, depth] {
+            --pending;
+            note('e');
+            std::uint64_t r = rng();
+            if (depth == 0)
+                return;
+            // Events reserve for later ticks only, as the CPU does (a
+            // completion is due a cycle out at the earliest).
+            reserve(eq.curTick() + 1 + (r >> 8) % 4000);
+            if (r % 5 == 0)
+                reserve(eq.curTick() + 1);
+            event(eq.curTick() + r % 3, EventQueue::prioDefault, depth - 1,
+                  r % 7 == 0);
+        };
+        if (mark)
+            eq.scheduleAtMark(body);
+        else
+            eq.schedule(when, body, prio);
+    }
+
+    /** runOne() until a regular event has run. */
+    void
+    step()
+    {
+        do {
+            twinRan = false;
+            eq.runOne();
+        } while (twinRan);
+        note('o');
+    }
+
+    void
+    drive()
+    {
+        constexpr EventQueue::Priority prios[] = {
+            EventQueue::prioEarly, EventQueue::prioDefault,
+            EventQueue::prioLate};
+        for (int round = 0; round < 150; ++round) {
+            eq.run(eq.curTick() + 2000 + rng() % 8000);
+            note('r');
+            // Between a bounded run and the next runOne(), like a
+            // barrier phase: the current tick's keys are all passed.
+            Tick now = eq.curTick();
+            Tick burst = now + rng() % 64;
+            for (int i = 0; i < 3; ++i)
+                event(burst, prios[rng() % 3], 2);
+            reserve(burst);
+            for (int i = 0; i < 4; ++i)
+                event(now + rng() % 5000, EventQueue::prioDefault, 3);
+            reserve(now + (1u << 20) + rng() % (1u << 22));
+            event(now + (1u << 20) + rng() % (1u << 22), prios[rng() % 3],
+                  0);
+            event(0, EventQueue::prioDefault, 1, true);
+            for (int i = 0; i < 3 && pending > 0; ++i)
+                step();
+        }
+    }
+};
+
+TEST(EventQueueReserve, PassedFlipsExactlyWhenTheTwinRuns)
+{
+    ReserveDriver reserved(false), twinned(true);
+    reserved.drive();
+    twinned.drive();
+    ASSERT_EQ(reserved.keys.size(), twinned.ran.size());
+    ASSERT_GT(reserved.keys.size(), 1000u);
+    ASSERT_EQ(reserved.log.size(), twinned.log.size());
+    for (std::size_t i = 0; i < reserved.log.size(); ++i)
+        ASSERT_EQ(reserved.log[i], twinned.log[i]) << "at line " << i;
+    // Each reservation used up exactly the number its twin took.
+    EXPECT_EQ(reserved.eq.reserveOrd(), twinned.eq.reserveOrd());
+}
+
+TEST(EventQueueReserve, ReservationsSurviveSaveAndRestore)
+{
+    // After a bounded run the queue stands at (limit, infinity); a
+    // restored queue stands at (curTick, infinity), so it agrees with
+    // the saved one on every reservation and keeps numbering from
+    // where it stopped. The twin queue shows where each event ran.
+    std::vector<std::uint32_t> ran;
+    TagEv::log = &ran;
+    EventQueue reserved, twinned;
+    std::vector<std::pair<Tick, std::uint64_t>> keys;
+    for (Tick when : {20, 35, 40}) {
+        reserved.schedule(when - 5, TagEv{9});
+        twinned.schedule(when - 5, TagEv{0});
+        keys.emplace_back(when, reserved.reserveOrd());
+        twinned.schedule(when, TagEv{static_cast<std::uint32_t>(when)});
+    }
+    reserved.run(35);
+    twinned.run(35);
+    snap::Ser out;
+    reserved.io(out);
+    snap::EventCodec codec;
+    codec.add<TagEv>();
+    snap::Des in(out.buffer());
+    in.setCodec(&codec);
+    EventQueue restored;
+    restored.io(in);
+    ASSERT_TRUE(in.ok()) << in.error();
+    EXPECT_EQ(ran, (std::vector<std::uint32_t>{9, 9, 9, 0, 20, 0, 35, 0}));
+    for (const EventQueue *q : {&reserved, &restored}) {
+        EXPECT_TRUE(q->passed(keys[0].first, keys[0].second));
+        EXPECT_TRUE(q->passed(keys[1].first, keys[1].second));
+        EXPECT_FALSE(q->passed(keys[2].first, keys[2].second));
+        EXPECT_TRUE(q->issued(EventQueue::seqOf(keys[2].second)));
+    }
+    restored.run(39);
+    twinned.run(39);
+    EXPECT_FALSE(restored.passed(keys[2].first, keys[2].second));
+    restored.run(40);
+    twinned.run(40);
+    EXPECT_TRUE(restored.passed(keys[2].first, keys[2].second));
+    EXPECT_EQ(ran.back(), 40u);
+    EXPECT_EQ(restored.reserveOrd(), reserved.reserveOrd());
+    TagEv::log = nullptr;
+}
+
 TEST(EventQueueSlab, CallbackSchedulingChunksOfEventsKeepsItsCaptures)
 {
     // A running callback stays in its slab slot while it schedules more

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <string>
 #include <unordered_map>
@@ -694,6 +695,114 @@ TEST(MachineSnap, EventForDeadTransactionRejected)
           InlineCallback(PEngine::HandlerDoneEv{pe, dead})}) {
         std::string err = restoreWithExtraEvent(ev);
         EXPECT_NE(err.find("event for an unknown transaction"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+/** One pending completion as a CPU section stores it. */
+struct Pending
+{
+    std::uint64_t due, seq, uid;
+};
+
+/**
+ * Restore a mid-run Base image whose node-0 CPU section ends with the
+ * completions @p make returns (given the image's tick) in place of the
+ * saved ones; the diagnostic, empty when the restore succeeded.
+ */
+std::string
+restoreWithCompletions(
+    const std::function<std::vector<Pending>(Tick)> &make)
+{
+    SnapSim a(MachineModel::Base);
+    a.machine->runUntil(50 * tickPerUs);
+    auto img = a.machine->saveImage();
+    std::size_t saved = a.machine->node(0).cpu->pendingCompletions();
+    snap::SnapReader r;
+    EXPECT_TRUE(r.parse(img)) << r.error();
+    snap::SnapWriter w(r.configHash());
+    for (const auto &sec : r.sections()) {
+        snap::Ser &out = w.beginSection(sec.name);
+        const std::uint8_t *p = img.data() + sec.offset;
+        if (sec.name != "node0.cpu") {
+            out.raw(p, sec.length);
+        } else {
+            out.raw(p, sec.length - 8 - 24 * saved);
+            auto entries = make(a.machine->eventQueue().curTick());
+            out.u64(entries.size());
+            for (const Pending &e : entries) {
+                out.u64(e.due);
+                out.u64(e.seq);
+                out.u64(e.uid);
+            }
+        }
+        w.endSection();
+    }
+    SnapSim b(MachineModel::Base);
+    std::string err;
+    bool ok = b.machine->restoreImage(w.finish(), &err);
+    EXPECT_EQ(ok, err.empty()) << err;
+    return err;
+}
+
+TEST(MachineSnap, CompletionForDeadInstructionRestoresAsNoOp)
+{
+    // Uid 0 names no instruction, like a completion whose instruction
+    // was squashed: it restores, and applies as a no-op.
+    EXPECT_EQ(restoreWithCompletions([](Tick now) {
+                  return std::vector<Pending>{{now + 100, 1, 0},
+                                              {now + 100, 3, 0}};
+              }),
+              "");
+}
+
+TEST(MachineSnap, CompletionDueBeforeCurrentTickRejected)
+{
+    std::string err = restoreWithCompletions([](Tick now) {
+        return std::vector<Pending>{{now - 1, 1, 0}};
+    });
+    EXPECT_NE(err.find("corrupt snapshot: completion due before"),
+              std::string::npos)
+        << err;
+}
+
+TEST(MachineSnap, CompletionSequenceOutOfRangeRejected)
+{
+    // Even numbers are marks, never reservations; a number the queue has
+    // not handed out yet, or one past the key's 62 bits, cannot be one.
+    for (std::uint64_t seq : {std::uint64_t{2}, std::uint64_t{1} << 62,
+                              (std::uint64_t{1} << 62) + 1}) {
+        std::string err = restoreWithCompletions([seq](Tick now) {
+            return std::vector<Pending>{{now + 100, seq, 0}};
+        });
+        EXPECT_NE(err.find("corrupt snapshot: completion sequence number "
+                           "out of range"),
+                  std::string::npos)
+            << seq << ": " << err;
+    }
+    std::string err = restoreWithCompletions([](Tick now) {
+        return std::vector<Pending>{{now + 100, (std::uint64_t{1} << 61) + 1,
+                                     0}};
+    });
+    EXPECT_NE(err.find("corrupt snapshot: completion sequence number was "
+                       "never handed out"),
+              std::string::npos)
+        << err;
+}
+
+TEST(MachineSnap, CompletionsOutOfKeyOrderRejected)
+{
+    for (auto pair : {std::vector<Pending>{{200, 1, 0}, {100, 3, 0}},
+                      std::vector<Pending>{{100, 3, 0}, {100, 1, 0}},
+                      std::vector<Pending>{{100, 1, 0}, {100, 1, 0}}}) {
+        std::string err = restoreWithCompletions([pair](Tick now) {
+            auto e = pair;
+            for (Pending &p : e)
+                p.due += now;
+            return e;
+        });
+        EXPECT_NE(err.find("corrupt snapshot: completions out of order"),
                   std::string::npos)
             << err;
     }

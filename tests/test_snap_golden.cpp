@@ -246,7 +246,6 @@ everyEventKind(Machine &m)
                                                       false, true}}},
         {"evMcMemWrite", MC::MemWriteEv{mc, 0x40c0}},
         {"evCpuTick", SmtCpu::TickEv{cpu}},
-        {"evCpuCompleteInst", SmtCpu::CompleteEv{cpu, nullptr, 0x1001}},
         {"evCpuFetchDone", SmtCpu::FetchDoneEv{cpu, 0, 0x5000}},
         {"evCpuTlbRetry", SmtCpu::TlbRetryEv{cpu, nullptr, 0x1002}},
         {"evCpuSbDrain", SmtCpu::SbDrainEv{cpu}},
@@ -315,7 +314,7 @@ TEST(SnapGolden, EveryEventKindEncodesAsRecorded)
     GoldenSim sim(kCases[0]); // Base: it has protocol engines.
     Machine &m = *sim.machine;
     auto kinds = everyEventKind(m);
-    ASSERT_EQ(kinds.size(), 25u);
+    ASSERT_EQ(kinds.size(), 24u);
     if (std::getenv("SMTP_REGOLD") != nullptr) {
         std::ofstream f(kGoldenPath, std::ios::app);
         for (const auto &[name, cb] : kinds)
